@@ -98,6 +98,11 @@ def _augmentations(parent_key: str) -> set[str]:
     return out
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"worker count must be at least 1, got {jobs}")
+
+
 def _chunks(items: Sequence, jobs: int) -> list[Sequence]:
     step = (len(items) + jobs - 1) // jobs
     return [items[i : i + step] for i in range(0, len(items), step)]
@@ -118,6 +123,7 @@ def enumerate_graphs(
     """One canonical representative per isomorphism class of n-vertex graphs."""
     if not 1 <= n <= MAX_CENSUS_ORDER:
         raise ValueError(f"census order must be in [1, {MAX_CENSUS_ORDER}], got {n}")
+    _check_jobs(jobs)
     if cache is not None:
         cached = cache.load_family(n)
         if cached is not None:
@@ -185,6 +191,7 @@ def deck_classes(
     """
     if not 1 <= k <= family.order:
         raise ValueError(f"card size {k} out of range for order {family.order}")
+    _check_jobs(jobs)
     if cache is not None:
         cached = cache.load_classes(family, k)
         if cached is not None:
@@ -218,35 +225,42 @@ def deck_classes(
 INVARIANTS = ("degree_list", "connectedness", "isomorphism")
 
 
-def _pair_witness(invariant: str, key_a: str, key_b: str) -> str | None:
+def _member_value(invariant: str, key: str):
+    """The value of ``invariant`` on one family member."""
     if invariant == "degree_list":
-        da = degree_list(_graph_of_key(key_a))
-        db = degree_list(_graph_of_key(key_b))
-        if da == db:
-            return None
-        fmt = lambda d: "(" + ",".join(map(str, d)) + ")"
-        return f"degree lists {fmt(da)} vs {fmt(db)}"
+        return degree_list(_graph_of_key(key))
     if invariant == "connectedness":
-        ca = _key_is_connected(key_a)
-        cb = _key_is_connected(key_b)
-        if ca == cb:
-            return None
+        return _key_is_connected(key)
+    # distinct canonical keys in one deck class are non-isomorphic
+    return key
+
+
+def _pair_witness(invariant: str, value_a, value_b) -> str | None:
+    if value_a == value_b:
+        return None
+    if invariant == "degree_list":
+        fmt = lambda d: "(" + ",".join(map(str, d)) + ")"
+        return f"degree lists {fmt(value_a)} vs {fmt(value_b)}"
+    if invariant == "connectedness":
         word = lambda c: "connected" if c else "disconnected"
-        return f"{word(ca)} vs {word(cb)}"
-    if invariant == "isomorphism":
-        # distinct canonical keys in one deck class are non-isomorphic
-        return "non-isomorphic graphs sharing a deck"
-    raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
+        return f"{word(value_a)} vs {word(value_b)}"
+    return "non-isomorphic graphs sharing a deck"
 
 
 def verify_invariant(report: ClassReport, invariant: str) -> ClassReport:
-    """Attach every in-class pair that disagrees on ``invariant``."""
+    """Attach every in-class pair that disagrees on ``invariant``.
+
+    Each member of a class with two or more members is decoded once.
+    """
     if invariant not in INVARIANTS:
         raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
     violations: list[Violation] = []
     for cls in report.classes:
-        for key_a, key_b in combinations(cls.members, 2):
-            witness = _pair_witness(invariant, key_a, key_b)
+        if len(cls.members) < 2:
+            continue
+        valued = [(key, _member_value(invariant, key)) for key in cls.members]
+        for (key_a, value_a), (key_b, value_b) in combinations(valued, 2):
+            witness = _pair_witness(invariant, value_a, value_b)
             if witness is not None:
                 violations.append(Violation(key_a, key_b, witness))
     violations.sort(key=lambda v: (v.key_a, v.key_b))

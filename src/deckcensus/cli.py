@@ -9,6 +9,7 @@ cold cache alike.  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -53,11 +54,24 @@ def _load_one(args, suffix: str = "") -> graphs.Graph:
     return found[0]
 
 
+def _jobs(text: str) -> int:
+    """``--jobs`` value: a worker count in [1, number of CPUs]."""
+    ceiling = os.cpu_count() or 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= jobs <= ceiling:
+        raise argparse.ArgumentTypeError(f"must be in [1, {ceiling}], got {jobs}")
+    return jobs
+
+
 def _census_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
                         help="census cache directory (default: ./census-cache)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes; results are identical for any N")
+    parser.add_argument("--jobs", type=_jobs, default=1, metavar="N",
+                        help="worker processes, at most the number of CPUs; "
+                        "results are identical for any N")
     parser.add_argument("--enable-n9", action="store_true",
                         help="allow the n=9 census (large; minutes to hours)")
 

@@ -5,17 +5,23 @@ graph6 text with a positive multiplicity.  Multiplicities are exact
 integers throughout; the only place the module tolerates division is
 the sub-deck law, where non-divisibility is diagnostic of a deck no
 graph realizes.
+
+Cards are extracted by prefix-sharing recursion over vertex subsets:
+each added vertex shifts its column against the chosen prefix into the
+labeled upper-triangle bits, so every card's bits come out without
+building its rows.  Those bits are the key of the canonical-key memo
+(``canon._memo``), which is probed inline; only on a miss are the
+card's rows built and handed to ``canon._key_for_rows``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .canon import _key_for_rows
-from .graphs import Graph, from_graph6, is_connected
+from .canon import _key_for_rows, _memo
+from .graphs import Graph, from_graph6, induced_subgraph, is_connected
 
 # FNV-1a, 128-bit variant: stable, fast, non-cryptographic.  Collisions
 # are resolved by full entry comparison, so the digest is only ever an
@@ -119,17 +125,43 @@ def _key_is_connected(key: str) -> bool:
     return is_connected(_graph_of_key(key))
 
 
-def _card_keys(g: Graph, k: int) -> Iterator[str]:
+def _add_cards(g: Graph, k: int, tally: dict[str, int], mult: int) -> None:
+    """Add ``mult`` to ``tally[key]`` for each of the C(n, k) induced
+    k-vertex cards of ``g``, ``key`` being the card's canonical key."""
+    n = g.n
     rows = g.rows
-    for subset in combinations(range(g.n), k):
-        sub = []
-        for u in subset:
-            src = rows[u]
-            row = 0
-            for i, v in enumerate(subset):
-                row |= (src >> v & 1) << i
-            sub.append(row)
-        yield _key_for_rows(k, tuple(sub))
+    if k == 1:
+        key = _key_for_rows(1, (0,))
+        tally[key] = tally.get(key, 0) + n * mult
+        return
+    last = k - 1
+    chosen = [0] * k
+
+    def extend(depth: int, start: int, bits: int, cols: list[int]) -> None:
+        # Place chosen[depth] >= start.  ``bits`` is the memo key of the
+        # card on chosen[:depth]; ``cols[i]`` is the column of vertex
+        # start + i against that prefix, first vertex most significant.
+        for i in range(n - last + depth - start):
+            v = start + i
+            chosen[depth] = v
+            rv = rows[v]
+            prefix = bits << depth | cols[i]
+            if depth + 1 < last:
+                extend(depth + 1, v + 1, prefix, [
+                    c << 1 | (rv >> u & 1) for u, c in enumerate(cols[i + 1:], v + 1)
+                ])
+                continue
+            # chosen[last] = w completes a card
+            prefix <<= last
+            for w, c in enumerate(cols[i + 1:], v + 1):
+                card_bits = prefix | c << 1 | (rv >> w & 1)
+                key = _memo.get(card_bits)
+                if key is None:
+                    chosen[last] = w
+                    key = _key_for_rows(k, induced_subgraph(g, chosen).rows)
+                tally[key] = tally.get(key, 0) + mult
+
+    extend(0, 0, 1, [0] * n)
 
 
 def compute_deck(g: Graph, k: int) -> Deck:
@@ -137,8 +169,7 @@ def compute_deck(g: Graph, k: int) -> Deck:
     if not 1 <= k <= g.n:
         raise ValueError(f"card size {k} out of range for n={g.n}")
     entries: dict[str, int] = {}
-    for key in _card_keys(g, k):
-        entries[key] = entries.get(key, 0) + 1
+    _add_cards(g, k, entries, 1)
     return Deck(k, g.n, entries)
 
 
@@ -167,9 +198,7 @@ def derive_subdeck(deck: Deck) -> Deck:
         raise ValueError("sub-deck derivation needs card size >= 2")
     acc: dict[str, int] = {}
     for key, mult in deck.entries.items():
-        card = _graph_of_key(key)
-        for subkey in _card_keys(card, k - 1):
-            acc[subkey] = acc.get(subkey, 0) + mult
+        _add_cards(_graph_of_key(key), k - 1, acc, mult)
     divisor = n - k + 1
     entries: dict[str, int] = {}
     for subkey, total in acc.items():

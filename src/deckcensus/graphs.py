@@ -102,13 +102,18 @@ class Graph:
 # graph6 codec
 
 
-def _triangle_bits(g: Graph) -> int:
+# _REVERSED[j][c] is the j-bit value c with its bit order reversed.
+_REVERSED = [
+    [int(format(c, f"0{j}b")[::-1], 2) if j else 0 for c in range(1 << j)]
+    for j in range(MAX_VERTICES)
+]
+
+
+def _triangle_bits(rows: Sequence[int]) -> int:
     """Upper-triangle bits packed into one int, x(0,1) as the MSB."""
     val = 0
-    for j in range(1, g.n):
-        col = g.rows[j] & ((1 << j) - 1)
-        for i in range(j):
-            val = (val << 1) | (col >> i & 1)
+    for j in range(1, len(rows)):
+        val = val << j | _REVERSED[j][rows[j] & ((1 << j) - 1)]
     return val
 
 
@@ -124,7 +129,7 @@ def _g6_from_bits(n: int, bits: int) -> str:
 
 def to_graph6(g: Graph) -> str:
     """Encode ``g`` as graph6 text (no header, zero padding bits)."""
-    return _g6_from_bits(g.n, _triangle_bits(g))
+    return _g6_from_bits(g.n, _triangle_bits(g.rows))
 
 
 def from_graph6(text: str) -> Graph:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from deckcensus import canon
 from deckcensus.canon import canonical_graph, canonical_key, is_isomorphic
+from deckcensus.census import enumerate_graphs
 from deckcensus.graphs import (
     Graph,
     complement,
@@ -121,6 +122,18 @@ def test_memo_is_transparent():
     canon.clear_cache()
     cold = [canonical_key(g) for g in graphs]
     assert warm == cold
+
+
+def test_relabeled_family_members_key_back(family5, family6, family7):
+    rng = random.Random(53)
+    families = [enumerate_graphs(n) for n in range(1, 5)] + [family5, family6, family7]
+    for family in families:
+        n = family.order
+        perms = [rng.sample(range(n), n) for _ in range(3)]
+        for key in family.members:
+            g = from_graph6(key)
+            for perm in perms:
+                assert canonical_key(permuted(g, perm)) == key
 
 
 def test_exhaustive_n4_against_reference():

@@ -1,6 +1,8 @@
 """Enumeration, deck-class partitions, invariant checks, and realization
 search over small families."""
 
+import concurrent.futures
+
 import pytest
 
 from deckcensus.canon import canonical_key
@@ -71,6 +73,18 @@ def test_enumerate_range_errors():
         enumerate_graphs(10)
     with pytest.raises(ValueError):
         brute_force_family(7)
+
+
+def test_nonpositive_jobs_are_rejected(monkeypatch, family5):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="worker count"):
+            enumerate_graphs(5, jobs=jobs)
+        with pytest.raises(ValueError, match="worker count"):
+            deck_classes(family5, 3, jobs=jobs)
 
 
 def test_parallel_enumeration_matches_serial(family6):

@@ -1,6 +1,8 @@
 """CLI surface: flag grammar, exit statuses, deterministic output."""
 
+import concurrent.futures
 import io
+import os
 
 import pytest
 
@@ -180,6 +182,19 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         cli.dispatch(["classes", "-n", "9", "-k", "7"])  # n=9 needs opt-in
     assert err.value.code == 2
+
+
+def test_jobs_out_of_range_is_usage_error(monkeypatch, tmp_path):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for jobs in (0, -1, (os.cpu_count() or 1) + 1):
+        with pytest.raises(SystemExit) as err:
+            cli.dispatch(["classes", "-n", "4", "-k", "3", "--jobs", str(jobs),
+                          "--cache-dir", str(tmp_path)])
+        assert err.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_domain_errors_exit_1():

@@ -6,12 +6,14 @@ canonical labeling.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
 import networkx as nx
 import pytest
 
+from deckcensus import canon
 from deckcensus.canon import canonical_key
 from deckcensus.decks import (
     Deck,
@@ -35,6 +37,7 @@ from deckcensus.graphs import (
     disjoint_union,
     empty_graph,
     from_graph6,
+    induced_subgraph,
     named_graph,
     path_graph,
 )
@@ -100,6 +103,40 @@ def test_total_multiplicity_and_reference_oracle():
         assert sum(deck.entries.values()) == comb(g.n, k)
         if g.n <= 6:
             assert sorted(deck.entries.values()) == reference_deck_sizes(g, k)
+
+
+def test_cards_match_induced_subgraph_oracle():
+    # every k-subset taken one at a time, cold memo and then warm
+    rng = random.Random(43)
+    for n in range(1, 10):
+        for _ in range(3):
+            g = random_graph(rng, n)
+            for k in range(1, n + 1):
+                oracle = Counter(
+                    canonical_key(induced_subgraph(g, subset))
+                    for subset in combinations(range(n), k)
+                )
+                canon.clear_cache()
+                assert compute_deck(g, k).entries == oracle
+                assert compute_deck(g, k).entries == oracle
+
+
+def test_clear_cache_is_transparent_for_decks():
+    rng = random.Random(47)
+    graphs = [random_graph(rng, rng.randint(2, 8)) for _ in range(30)]
+    cases = [(g, rng.randint(2, g.n)) for g in graphs]
+
+    def decks_and_subdecks():
+        out = []
+        for g, k in cases:
+            deck = compute_deck(g, k)
+            out.append((deck, derive_subdeck(deck)))
+        return out
+
+    warm = decks_and_subdecks()
+    canon.clear_cache()
+    assert not canon._memo
+    assert decks_and_subdecks() == warm
 
 
 def test_deck_is_relabeling_invariant():
