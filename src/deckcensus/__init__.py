@@ -41,7 +41,6 @@ from .decks import (
     UnrealizableDeckError,
     compute_deck,
     connected_card_count,
-    count_j_vertices,
     deck_equal,
     derive_subdeck,
     edge_count_from_deck,

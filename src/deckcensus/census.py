@@ -41,6 +41,29 @@ from .graphs import (
 MAX_CENSUS_ORDER = 9
 DEFAULT_CENSUS_CEILING = 8
 
+# Published counts of n-vertex graphs up to isomorphism (OEIS A000088),
+# n = 1..MAX_CENSUS_ORDER; a cached family of any other size is rejected.
+GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
+
+# FNV-1a, 128-bit variant: a stable, non-cryptographic label for a deck
+# class in class TSVs and cache files.  Grouping never reads it.
+_FNV_OFFSET = 0x6C62272E07BB014262B821756295C58D
+_FNV_PRIME = 0x0000000001000000000000000000013B
+_FNV_MASK = (1 << 128) - 1
+
+
+def _fnv128(data: bytes) -> int:
+    h = _FNV_OFFSET
+    for byte in data:
+        h = ((h ^ byte) * _FNV_PRIME) & _FNV_MASK
+    return h
+
+
+def _class_label(entries: tuple[tuple[str, int], ...]) -> str:
+    """Hex FNV-1a digest of sorted ``key<TAB>mult`` lines."""
+    blob = "\n".join(f"{key}\t{mult}" for key, mult in entries).encode()
+    return f"{_fnv128(blob):032x}"
+
 
 @dataclass(frozen=True)
 class GraphFamily:
@@ -165,15 +188,13 @@ def brute_force_family(n: int) -> GraphFamily:
 # deck-class partition
 
 
-def _member_deck(args: tuple[str, int]) -> tuple[str, str, tuple[tuple[str, int], ...]]:
-    key, k = args
-    deck = compute_deck(_graph_of_key(key), k)
-    return key, deck.digest_hex, tuple(deck.sorted_entries())
-
-
-def _deck_chunk(args: tuple[Sequence[str], int]):
+def _deck_chunk(
+    args: tuple[Sequence[str], int]
+) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
     keys, k = args
-    return [_member_deck((key, k)) for key in keys]
+    return [
+        (key, compute_deck(_graph_of_key(key), k).sorted_entries()) for key in keys
+    ]
 
 
 def deck_classes(
@@ -184,10 +205,12 @@ def deck_classes(
 ) -> ClassReport:
     """Partition ``family`` by k-deck.
 
-    Members are grouped by deck digest first; digest ties are confirmed
-    by full entry comparison, so a (vanishingly unlikely) collision
-    yields two classes that happen to share a digest rather than a
-    merged class.
+    Members are grouped by their full sorted deck entries, so two members
+    share a class exactly when their decks are equal.  Each class is then
+    labeled with the FNV-1a digest of its entries, which only names it in
+    class TSVs and cache files: a (vanishingly unlikely) collision yields
+    two classes that share a label, never a merged class.  (A reload from
+    ``cache`` still regroups by label.)
     """
     if not 1 <= k <= family.order:
         raise ValueError(f"card size {k} out of range for order {family.order}")
@@ -196,25 +219,22 @@ def deck_classes(
         cached = cache.load_classes(family, k)
         if cached is not None:
             return cached
-    rows: list[tuple[str, str, tuple[tuple[str, int], ...]]] = []
+    rows: list[tuple[str, tuple[tuple[str, int], ...]]] = []
     if jobs > 1 and len(family.members) > 1:
         chunk_args = [(chunk, k) for chunk in _chunks(family.members, jobs * 4)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_deck_chunk, chunk_args):
                 rows.extend(part)
     else:
-        rows = [_member_deck((key, k)) for key in family.members]
+        rows = _deck_chunk((family.members, k))
 
-    by_digest: dict[str, list[tuple[str, tuple[tuple[str, int], ...]]]] = {}
-    for key, digest, entries in rows:
-        by_digest.setdefault(digest, []).append((key, entries))
-    classes: list[DeckClass] = []
-    for digest, bucket in by_digest.items():
-        by_entries: dict[tuple[tuple[str, int], ...], list[str]] = {}
-        for key, entries in bucket:
-            by_entries.setdefault(entries, []).append(key)
-        for members in by_entries.values():
-            classes.append(DeckClass(digest, tuple(sorted(members))))
+    by_entries: dict[tuple[tuple[str, int], ...], list[str]] = {}
+    for key, entries in rows:
+        by_entries.setdefault(entries, []).append(key)
+    classes = [
+        DeckClass(_class_label(entries), tuple(sorted(members)))
+        for entries, members in by_entries.items()
+    ]
     classes.sort(key=lambda c: (c.digest_hex, c.members))
     report = ClassReport(family.order, k, tuple(classes))
     if cache is not None:
@@ -404,7 +424,9 @@ class CensusCache:
     ``graphs_n{n}.g6`` holds one canonical graph6 key per line, sorted;
     ``classes_n{n}_k{k}.tsv`` holds ``digestHex<TAB>canonicalKey`` lines
     sorted by digest then key.  Files are written atomically
-    (write-then-rename).
+    (write-then-rename).  A file whose member count is wrong, or a class
+    line that is not ``digest<TAB>key``, raises ``ValueError`` naming
+    the file.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -435,6 +457,11 @@ class CensusCache:
         members = tuple(
             line.strip() for line in path.read_text().splitlines() if line.strip()
         )
+        if len(members) != GRAPH_COUNTS[n - 1]:
+            raise ValueError(
+                f"{path}: {len(members)} graphs, but there are "
+                f"{GRAPH_COUNTS[n - 1]} graphs on {n} vertices"
+            )
         return GraphFamily(n, members)
 
     def store_family(self, family: GraphFamily) -> None:
@@ -447,11 +474,21 @@ class CensusCache:
         if not path.exists():
             return None
         grouped: dict[str, list[str]] = {}
-        for line in path.read_text().splitlines():
+        for number, line in enumerate(path.read_text().splitlines(), 1):
             if not line.strip():
                 continue
-            digest, key = line.split("\t")
+            try:
+                digest, key = line.split("\t")
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {number} is not digest<TAB>key"
+                ) from None
             grouped.setdefault(digest, []).append(key)
+        count = sum(map(len, grouped.values()))
+        if count != len(family):
+            raise ValueError(
+                f"{path}: {count} members, but the family has {len(family)}"
+            )
         classes = tuple(
             DeckClass(digest, tuple(sorted(members)))
             for digest, members in sorted(grouped.items())

@@ -66,14 +66,31 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _census_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
-                        help="census cache directory (default: ./census-cache)")
-    parser.add_argument("--jobs", type=_jobs, default=1, metavar="N",
-                        help="worker processes, at most the number of CPUs; "
-                        "results are identical for any N")
+def _deck_source(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--g6", metavar="TEXT", help="graph as graph6 text")
+    group.add_argument("--named", metavar="SPEC", help="named builder spec")
+    group.add_argument("--deck", metavar="PATH",
+                       help="deck file (header 'k=<k> n=<n>', then key<TAB>mult)")
+    parser.add_argument("-k", type=int, help="card size of the source deck "
+                        "(required with --g6/--named)")
+
+
+def _census_order(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-n", type=int, required=True, help="graph order (<= 8, or 9 "
+                        "with --enable-n9)")
+    parser.add_argument("-k", type=int, required=True, help="card size")
     parser.add_argument("--enable-n9", action="store_true",
                         help="allow the n=9 census (large; minutes to hours)")
+
+
+def _census_args(parser: argparse.ArgumentParser, *, jobs: bool) -> None:
+    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
+                        help="census cache directory (default: ./census-cache)")
+    if jobs:
+        parser.add_argument("--jobs", type=_jobs, default=1, metavar="N",
+                            help="worker processes, at most the number of CPUs; "
+                            "results are identical for any N")
 
 
 def _format_arg(parser: argparse.ArgumentParser) -> None:
@@ -89,88 +106,74 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("deck", help="compute the k-deck of a graph")
+    def command(name: str, run, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("deck", _run_deck, "compute the k-deck of a graph")
     _graph_source(p)
     p.add_argument("-k", type=int, required=True, help="card size")
     _format_arg(p)
 
-    p = sub.add_parser("compare", help="test whether two graphs share a k-deck")
+    p = command("compare", _run_compare, "test whether two graphs share a k-deck")
     _graph_source(p, "a")
     _graph_source(p, "b")
     p.add_argument("-k", type=int, required=True, help="card size")
 
-    p = sub.add_parser("subdeck", help="derive the (k-1)-deck from a k-deck")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--g6", metavar="TEXT", help="graph as graph6 text")
-    group.add_argument("--named", metavar="SPEC", help="named builder spec")
-    group.add_argument("--deck", metavar="PATH",
-                       help="deck file (header 'k=<k> n=<n>', then key<TAB>mult)")
-    p.add_argument("-k", type=int, help="card size of the source deck "
-                   "(required with --g6/--named)")
+    p = command("subdeck", _run_subdeck, "derive the (k-1)-deck from a k-deck")
+    _deck_source(p)
     p.add_argument("--steps", type=int, default=1,
                    help="how many derivation steps (default: 1)")
 
-    p = sub.add_parser("degrees", help="recover a degree list from a k-deck")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--g6", metavar="TEXT", help="graph as graph6 text")
-    group.add_argument("--named", metavar="SPEC", help="named builder spec")
-    group.add_argument("--deck", metavar="PATH", help="deck file")
-    p.add_argument("-k", type=int, help="card size (required with --g6/--named)")
+    p = command("degrees", _run_degrees, "recover a degree list from a k-deck")
+    _deck_source(p)
     p.add_argument("--high", metavar="I=A,...", default="",
                    help="counts of degrees >= k, e.g. '3=1,4=0,5=0'; "
                    "omitted degrees default to 0")
     _format_arg(p)
 
-    p = sub.add_parser("phi", help="degree-occurrence totals of a k-deck")
+    p = command("phi", _run_phi, "degree-occurrence totals of a k-deck")
     _graph_source(p)
     p.add_argument("-k", type=int, required=True, help="card size")
     _format_arg(p)
 
-    p = sub.add_parser("classes", help="partition all n-vertex graphs by k-deck")
-    p.add_argument("-n", type=int, required=True, help="graph order (<= 8, or 9 "
-                   "with --enable-n9)")
-    p.add_argument("-k", type=int, required=True, help="card size")
-    _census_args(p)
+    p = command("classes", _run_classes, "partition all n-vertex graphs by k-deck")
+    _census_order(p)
+    _census_args(p, jobs=True)
     _format_arg(p)
 
-    p = sub.add_parser("verify", help="check an invariant across deck classes")
-    p.add_argument("-n", type=int, required=True, help="graph order")
-    p.add_argument("-k", type=int, required=True, help="card size")
+    p = command("verify", _run_verify, "check an invariant across deck classes")
+    _census_order(p)
     p.add_argument("--invariant", required=True, choices=census.INVARIANTS)
-    _census_args(p)
+    _census_args(p, jobs=True)
     _format_arg(p)
 
-    p = sub.add_parser("reconstructions",
-                       help="all n-vertex graphs realizing a deck")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--g6", metavar="TEXT", help="graph as graph6 text")
-    group.add_argument("--named", metavar="SPEC", help="named builder spec")
-    group.add_argument("--deck", metavar="PATH", help="deck file")
-    p.add_argument("-k", type=int, help="card size (required with --g6/--named)")
-    p.add_argument("-n", type=int, help="order of the sought graphs "
-                   "(defaults to the deck's origin order)")
-    _census_args(p)
+    p = command("reconstructions", _run_reconstructions,
+                "all graphs of the deck's order realizing a deck (order <= 8)")
+    _deck_source(p)
+    _census_args(p, jobs=True)
     _format_arg(p)
 
-    p = sub.add_parser("rho", help="reconstructibility number of a graph")
+    p = command("rho", _run_rho, "reconstructibility number of a graph (order <= 8)")
     _graph_source(p)
-    _census_args(p)
+    _census_args(p, jobs=False)
 
-    p = sub.add_parser("pairs", help="known deck-equal pairs for a parameter l")
+    p = command("pairs", _run_pairs, "known deck-equal pairs for a parameter l")
     p.add_argument("-l", type=int, required=True, help="deleted-vertex count "
                    "(2..4)")
     p.add_argument("--claw-pairs", action="store_true",
                    help="include the subdivided-claw pairs even when l != 3")
 
-    p = sub.add_parser("threshold",
-                       help="degree-list recovery order threshold g(l)")
+    p = command("threshold", _run_threshold,
+                "degree-list recovery order threshold g(l)")
     p.add_argument("-l", type=int, required=True, help="deleted-vertex count "
                    "(>= 3)")
     return parser
 
 
 def _deck_from_args(args, parser: argparse.ArgumentParser) -> decks.Deck:
-    if getattr(args, "deck", None) is not None:
+    if args.deck is not None:
         return decks.parse_deck(Path(args.deck).read_text())
     if args.k is None:
         parser.error("-k is required with --g6/--named input")
@@ -178,21 +181,27 @@ def _deck_from_args(args, parser: argparse.ArgumentParser) -> decks.Deck:
     return decks.compute_deck(g, args.k)
 
 
-def _guard_order(n: int, args, parser: argparse.ArgumentParser) -> None:
+def _guard_order(args, parser: argparse.ArgumentParser) -> None:
     ceiling = census.MAX_CENSUS_ORDER if args.enable_n9 else census.DEFAULT_CENSUS_CEILING
-    if not 1 <= n <= ceiling:
+    if not 1 <= args.n <= ceiling:
         parser.error(
             f"-n must be in [1, {ceiling}]"
             + ("" if args.enable_n9 else " (pass --enable-n9 to go to 9)")
         )
 
 
+def _guard_ceiling(n: int, what: str, parser: argparse.ArgumentParser) -> None:
+    ceiling = census.DEFAULT_CENSUS_CEILING
+    if n > ceiling:
+        parser.error(f"{what} is capped at n={ceiling}, got n={n}")
+
+
 def _cache(args) -> census.CensusCache:
     return census.CensusCache(args.cache_dir)
 
 
-def _run_deck(args, out) -> None:
-    multi = getattr(args, "file", None) is not None
+def _run_deck(args, parser, out) -> None:
+    multi = args.file is not None
     for g in _load_graphs(args):
         deck = decks.compute_deck(g, args.k)
         if multi:
@@ -207,7 +216,7 @@ def _run_deck(args, out) -> None:
             )
 
 
-def _run_compare(args, out) -> None:
+def _run_compare(args, parser, out) -> None:
     a = _load_one(args, "a")
     b = _load_one(args, "b")
     equal = decks.deck_equal(decks.compute_deck(a, args.k), decks.compute_deck(b, args.k))
@@ -255,7 +264,7 @@ def _run_degrees(args, parser, out) -> None:
         out.write(f"degrees=({degree_text}) counts=({counts_text})\n")
 
 
-def _run_phi(args, out) -> None:
+def _run_phi(args, parser, out) -> None:
     g = _load_one(args)
     deck = decks.compute_deck(g, args.k)
     totals = decks.phi_vector(deck)
@@ -268,14 +277,14 @@ def _run_phi(args, out) -> None:
 
 
 def _run_classes(args, parser, out) -> None:
-    _guard_order(args.n, args, parser)
+    _guard_order(args, parser)
     family = census.enumerate_graphs(args.n, jobs=args.jobs, cache=_cache(args))
     report = census.deck_classes(family, args.k, jobs=args.jobs, cache=_cache(args))
     out.write(census.emit_report(report, args.format))
 
 
 def _run_verify(args, parser, out) -> None:
-    _guard_order(args.n, args, parser)
+    _guard_order(args, parser)
     family = census.enumerate_graphs(args.n, jobs=args.jobs, cache=_cache(args))
     report = census.deck_classes(family, args.k, jobs=args.jobs, cache=_cache(args))
     checked = census.verify_invariant(report, args.invariant)
@@ -284,10 +293,8 @@ def _run_verify(args, parser, out) -> None:
 
 def _run_reconstructions(args, parser, out) -> None:
     deck = _deck_from_args(args, parser)
-    n = args.n if args.n is not None else deck.origin_order
-    _guard_order(n, args, parser)
-    if n > census.DEFAULT_CENSUS_CEILING:
-        parser.error("realization search is capped at n=8")
+    n = deck.origin_order
+    _guard_ceiling(n, "realization search", parser)
     keys = census.find_reconstructions(
         deck, n, jobs=args.jobs, cache=_cache(args)
     )
@@ -299,19 +306,17 @@ def _run_reconstructions(args, parser, out) -> None:
 
 def _run_rho(args, parser, out) -> None:
     g = _load_one(args)
-    _guard_order(g.n, args, parser)
-    if g.n > census.DEFAULT_CENSUS_CEILING:
-        parser.error("reconstructibility is capped at n=8")
+    _guard_ceiling(g.n, "reconstructibility", parser)
     out.write(f"{census.reconstructibility_number(g, cache=_cache(args))}\n")
 
 
-def _run_pairs(args, out) -> None:
+def _run_pairs(args, parser, out) -> None:
     include = True if args.claw_pairs else None
     for g, h, k in census.known_pairs(args.l, include_claw_pairs=include):
         out.write(f"{canonical_key(g)}\t{canonical_key(h)}\t{k}\tEQUAL\n")
 
 
-def _run_threshold(args, out) -> None:
+def _run_threshold(args, parser, out) -> None:
     out.write(f"{counting.degree_list_threshold(args.l):.12g}\n")
 
 
@@ -321,28 +326,7 @@ def dispatch(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     out = out or sys.stdout
     try:
-        if args.command == "deck":
-            _run_deck(args, out)
-        elif args.command == "compare":
-            _run_compare(args, out)
-        elif args.command == "subdeck":
-            _run_subdeck(args, parser, out)
-        elif args.command == "degrees":
-            _run_degrees(args, parser, out)
-        elif args.command == "phi":
-            _run_phi(args, out)
-        elif args.command == "classes":
-            _run_classes(args, parser, out)
-        elif args.command == "verify":
-            _run_verify(args, parser, out)
-        elif args.command == "reconstructions":
-            _run_reconstructions(args, parser, out)
-        elif args.command == "rho":
-            _run_rho(args, parser, out)
-        elif args.command == "pairs":
-            _run_pairs(args, out)
-        elif args.command == "threshold":
-            _run_threshold(args, out)
+        args.run(args, parser, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

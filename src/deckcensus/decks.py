@@ -11,7 +11,7 @@ each added vertex shifts its column against the chosen prefix into the
 labeled upper-triangle bits, so every card's bits come out without
 building its rows.  Those bits are the key of the canonical-key memo
 (``canon._memo``), which is probed inline; only on a miss are the
-card's rows built and handed to ``canon._key_for_rows``.
+card's rows decoded from its bits and handed to ``canon._key_for_rows``.
 """
 
 from __future__ import annotations
@@ -21,21 +21,7 @@ from math import comb
 from typing import Mapping
 
 from .canon import _key_for_rows, _memo
-from .graphs import Graph, from_graph6, induced_subgraph, is_connected
-
-# FNV-1a, 128-bit variant: stable, fast, non-cryptographic.  Collisions
-# are resolved by full entry comparison, so the digest is only ever an
-# accelerator.
-_FNV_OFFSET = 0x6C62272E07BB014262B821756295C58D
-_FNV_PRIME = 0x0000000001000000000000000000013B
-_FNV_MASK = (1 << 128) - 1
-
-
-def _fnv128(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _FNV_MASK
-    return h
+from .graphs import Graph, _rows_from_bits, degree_counts, from_graph6, is_connected
 
 
 class UnrealizableDeckError(ValueError):
@@ -46,11 +32,12 @@ class Deck:
     """Multiset of k-cards of an n-vertex graph.
 
     ``entries`` maps the canonical key of each card class to its
-    multiplicity.  The digest is a pure function of the sorted
-    (key, multiplicity) sequence.
+    multiplicity.  A deck is its card size, origin order and entries:
+    equality and hashing use exactly those, and
+    :meth:`sorted_entries` is the hashable form of the entries.
     """
 
-    __slots__ = ("card_size", "origin_order", "entries", "digest")
+    __slots__ = ("card_size", "origin_order", "entries")
 
     def __init__(self, card_size: int, origin_order: int, entries: Mapping[str, int]):
         if not 1 <= card_size <= origin_order:
@@ -72,17 +59,12 @@ class Deck:
         object.__setattr__(self, "card_size", card_size)
         object.__setattr__(self, "origin_order", origin_order)
         object.__setattr__(self, "entries", dict(entries))
-        object.__setattr__(self, "digest", _fnv128(_entry_blob(entries)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Deck is immutable")
 
-    @property
-    def digest_hex(self) -> str:
-        return f"{self.digest:032x}"
-
-    def sorted_entries(self) -> list[tuple[str, int]]:
-        return sorted(self.entries.items())
+    def sorted_entries(self) -> tuple[tuple[str, int], ...]:
+        return tuple(sorted(self.entries.items()))
 
     def __eq__(self, other) -> bool:
         return (
@@ -93,17 +75,13 @@ class Deck:
         )
 
     def __hash__(self) -> int:
-        return hash((self.card_size, self.origin_order, self.digest))
+        return hash((self.card_size, self.origin_order, self.sorted_entries()))
 
     def __repr__(self) -> str:
         return (
             f"Deck(k={self.card_size}, n={self.origin_order}, "
             f"classes={len(self.entries)})"
         )
-
-
-def _entry_blob(entries: Mapping[str, int]) -> bytes:
-    return "\n".join(f"{k}\t{m}" for k, m in sorted(entries.items())).encode()
 
 
 @lru_cache(maxsize=None)
@@ -113,11 +91,7 @@ def _graph_of_key(key: str) -> Graph:
 
 @lru_cache(maxsize=None)
 def _degree_counts_of_key(key: str) -> tuple[int, ...]:
-    g = _graph_of_key(key)
-    counts = [0] * g.n
-    for r in g.rows:
-        counts[r.bit_count()] += 1
-    return tuple(counts)
+    return degree_counts(_graph_of_key(key))
 
 
 @lru_cache(maxsize=None)
@@ -135,15 +109,14 @@ def _add_cards(g: Graph, k: int, tally: dict[str, int], mult: int) -> None:
         tally[key] = tally.get(key, 0) + n * mult
         return
     last = k - 1
-    chosen = [0] * k
 
     def extend(depth: int, start: int, bits: int, cols: list[int]) -> None:
-        # Place chosen[depth] >= start.  ``bits`` is the memo key of the
-        # card on chosen[:depth]; ``cols[i]`` is the column of vertex
-        # start + i against that prefix, first vertex most significant.
+        # Fill card position ``depth`` with each v >= start.  ``bits`` is
+        # the memo key of the card on the vertices placed so far;
+        # ``cols[i]`` is the column of vertex start + i against them,
+        # first vertex most significant.
         for i in range(n - last + depth - start):
             v = start + i
-            chosen[depth] = v
             rv = rows[v]
             prefix = bits << depth | cols[i]
             if depth + 1 < last:
@@ -151,14 +124,13 @@ def _add_cards(g: Graph, k: int, tally: dict[str, int], mult: int) -> None:
                     c << 1 | (rv >> u & 1) for u, c in enumerate(cols[i + 1:], v + 1)
                 ])
                 continue
-            # chosen[last] = w completes a card
+            # placing the last vertex at w completes a card
             prefix <<= last
             for w, c in enumerate(cols[i + 1:], v + 1):
                 card_bits = prefix | c << 1 | (rv >> w & 1)
                 key = _memo.get(card_bits)
                 if key is None:
-                    chosen[last] = w
-                    key = _key_for_rows(k, induced_subgraph(g, chosen).rows)
+                    key = _key_for_rows(k, tuple(_rows_from_bits(k, card_bits)))
                 tally[key] = tally.get(key, 0) + mult
 
     extend(0, 0, 1, [0] * n)
@@ -174,14 +146,12 @@ def compute_deck(g: Graph, k: int) -> Deck:
 
 
 def deck_equal(a: Deck, b: Deck) -> bool:
-    """Entry-exact equality; digests screen first, entries decide."""
+    """Entry-exact equality of two decks with the same k and n."""
     if a.card_size != b.card_size or a.origin_order != b.origin_order:
         raise ValueError(
             f"cannot compare decks with k={a.card_size}, n={a.origin_order} "
             f"and k={b.card_size}, n={b.origin_order}"
         )
-    if a.digest != b.digest:
-        return False
     return a.entries == b.entries
 
 
@@ -209,15 +179,6 @@ def derive_subdeck(deck: Deck) -> Deck:
             )
         entries[subkey] = total // divisor
     return Deck(k - 1, n, entries)
-
-
-def count_j_vertices(deck: Deck, j: int) -> int:
-    """Total number of degree-j vertices over all cards, with multiplicity."""
-    if not 0 <= j <= deck.card_size - 1:
-        raise ValueError(f"degree {j} out of range for card size {deck.card_size}")
-    return sum(
-        mult * _degree_counts_of_key(key)[j] for key, mult in deck.entries.items()
-    )
 
 
 def phi_vector(deck: Deck) -> tuple[int, ...]:

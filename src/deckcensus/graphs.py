@@ -117,6 +117,21 @@ def _triangle_bits(rows: Sequence[int]) -> int:
     return val
 
 
+def _rows_from_bits(n: int, bits: int) -> list[int]:
+    """Rows of the n-vertex graph whose upper-triangle bits, x(0,1) as
+    the MSB, are the low C(n, 2) bits of ``bits``; higher bits are
+    ignored."""
+    rows = [0] * n
+    pos = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if bits >> pos & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
 def _g6_from_bits(n: int, bits: int) -> str:
     nbits = n * (n - 1) // 2
     pad = -nbits % 6
@@ -168,16 +183,7 @@ def from_graph6(text: str) -> Graph:
     pad = 6 * ndata - nbits
     if pad and val & ((1 << pad) - 1):
         raise Graph6Error(f"nonzero padding bits in final byte at offset {ndata}")
-    val >>= pad
-    rows = [0] * size
-    pos = nbits
-    for j in range(1, size):
-        for i in range(j):
-            pos -= 1
-            if val >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph.from_rows(rows)
+    return Graph.from_rows(_rows_from_bits(size, val >> pad))
 
 
 def read_graph6_lines(text: str) -> list[Graph]:

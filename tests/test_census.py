@@ -5,6 +5,7 @@ import concurrent.futures
 
 import pytest
 
+from deckcensus import census
 from deckcensus.canon import canonical_key
 from deckcensus.census import (
     CensusCache,
@@ -106,6 +107,23 @@ def test_deck_classes_partition(family5, family6):
 
 def test_deck_classes_jobs_parity(family6):
     assert deck_classes(family6, 3, jobs=3) == deck_classes(family6, 3)
+
+
+def test_class_label_is_stable():
+    def label(g):
+        return census._class_label(compute_deck(g, 3).sorted_entries())
+
+    a = label(named_graph("cycle5+empty1"))
+    assert a == "003378c69d6f5c9ee228d1ac73aaec94"
+    assert label(claw_subdivided(2)) == a  # the claw pair shares its 3-deck
+    assert len(a) == 32
+    assert label(cycle_graph(6)) == "e7d1a66451d419c590817a0dcc37db78"
+
+
+def test_grouping_never_reads_the_label(monkeypatch, family6):
+    monkeypatch.setattr(census, "_class_label", lambda entries: "0" * 32)
+    assert len(deck_classes(family6, 3).classes) == 112
+    assert len(deck_classes(family6, 4).classes) == 156
 
 
 def test_n6_k4_classes_all_singletons(family6):

@@ -225,8 +225,56 @@ def test_output_is_repeatable():
     assert run(argv) == run(argv)
 
 
-def test_jobs_flag_does_not_change_output(tmp_path):
+def test_jobs_flag_does_not_change_output(monkeypatch, tmp_path):
+    # --jobs is bounded by the CPU count; two real workers run on any host
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(2, cpus))
     base = ["classes", "-n", "5", "-k", "3", "--format", "tsv"]
     one = run(base + ["--cache-dir", str(tmp_path / "a"), "--jobs", "1"])
     two = run(base + ["--cache-dir", str(tmp_path / "b"), "--jobs", "2"])
     assert one == two
+
+
+def _error_names(capsys, argv, path):
+    status, _ = run(argv)
+    assert status == 1
+    assert str(path) in capsys.readouterr().err
+
+
+def test_truncated_family_file_is_rejected(tmp_path, capsys, family6):
+    path = tmp_path / "graphs_n6.g6"
+    path.write_text("\n".join(family6.members[:9]) + "\n")
+    _error_names(capsys, ["verify", "-n", "6", "-k", "3", "--invariant",
+                          "degree_list", "--cache-dir", str(tmp_path)], path)
+
+
+def test_garbage_class_file_is_rejected(tmp_path, capsys):
+    argv = ["classes", "-n", "5", "-k", "3", "--cache-dir", str(tmp_path)]
+    assert run(argv)[0] == 0
+    path = tmp_path / "classes_n5_k3.tsv"
+    path.write_text("not a class line\n")
+    _error_names(capsys, argv, path)
+
+
+def test_truncated_class_file_is_rejected(tmp_path, capsys):
+    argv = ["classes", "-n", "5", "-k", "3", "--cache-dir", str(tmp_path)]
+    assert run(argv)[0] == 0
+    path = tmp_path / "classes_n5_k3.tsv"
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    _error_names(capsys, argv, path)
+
+
+def test_order_ceiling_is_usage_error(capsys):
+    for argv in (["reconstructions", "--named", "path9", "-k", "3"],
+                 ["rho", "--named", "path9"]):
+        with pytest.raises(SystemExit) as err:
+            cli.dispatch(argv)
+        assert err.value.code == 2
+        assert "--enable-n9" not in capsys.readouterr().err
+    for argv in (["reconstructions", "--named", "path4", "-k", "3", "-n", "4"],
+                 ["reconstructions", "--named", "path4", "-k", "3", "--enable-n9"],
+                 ["rho", "--named", "path4", "--enable-n9"],
+                 ["rho", "--named", "path4", "--jobs", "1"]):
+        with pytest.raises(SystemExit) as err:
+            cli.dispatch(argv)
+        assert err.value.code == 2  # the option does not exist

@@ -17,7 +17,7 @@ from deckcensus.counting import (
     reconstruct_degree_list,
     reconstruct_with_zero_high,
 )
-from deckcensus.decks import compute_deck, count_j_vertices
+from deckcensus.decks import compute_deck, phi_vector
 from deckcensus.graphs import (
     claw_subdivided,
     degree_counts,
@@ -66,7 +66,7 @@ def test_formula_matches_deck_counts_randomized():
         for k in range(1, g.n + 1):
             deck = compute_deck(g, k)
             for j in range(k):
-                assert count_j_vertices(deck, j) == phi_formula(counts, g.n, k, j)
+                assert phi_vector(deck)[j] == phi_formula(counts, g.n, k, j)
 
 
 def test_reconstruct_under_true_high_counts():

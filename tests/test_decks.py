@@ -20,7 +20,6 @@ from deckcensus.decks import (
     UnrealizableDeckError,
     compute_deck,
     connected_card_count,
-    count_j_vertices,
     deck_equal,
     derive_subdeck,
     edge_count_from_deck,
@@ -33,7 +32,6 @@ from deckcensus.graphs import (
     claw_subdivided,
     complement,
     complete_graph,
-    cycle_graph,
     disjoint_union,
     empty_graph,
     from_graph6,
@@ -196,11 +194,10 @@ def test_derive_subdeck_flags_unrealizable():
 
 def test_count_j_vertices_goldens():
     deck = compute_deck(C5K1, 3)
-    assert count_j_vertices(deck, 2) == 5
-    assert count_j_vertices(deck, 1) == 30
-    assert count_j_vertices(deck, 0) == 25
-    with pytest.raises(ValueError):
-        count_j_vertices(deck, 3)
+    assert phi_vector(deck)[2] == 5
+    assert phi_vector(deck)[1] == 30
+    assert phi_vector(deck)[0] == 25
+    assert len(phi_vector(deck)) == 3  # no degree 3 on a 3-vertex card
 
 
 def test_phi_vector_goldens():
@@ -241,16 +238,6 @@ def test_complement_duality():
             flipped_key = canonical_key(complement(from_graph6(key)))
             flipped[flipped_key] = flipped.get(flipped_key, 0) + mult
         assert comp_deck.entries == flipped
-
-
-def test_digest_is_stable_and_screens_first():
-    a = compute_deck(C5K1, 3)
-    b = compute_deck(KPP, 3)
-    assert a.digest == b.digest
-    assert a.digest_hex == b.digest_hex
-    assert len(a.digest_hex) == 32
-    c = compute_deck(cycle_graph(6), 3)
-    assert c.digest != a.digest
 
 
 def test_deck_validation():
