@@ -1,15 +1,21 @@
 """Exhaustive censuses: enumerate all n-vertex graphs up to isomorphism,
 partition a family by k-deck, and check invariants across each class.
 
-Enumeration grows families by vertex augmentation: every canonical
-(n-1)-vertex representative is extended by one new vertex with each of
-the 2^(n-1) possible neighborhoods, canonicalized, and deduplicated.
-A 2^C(n,2) brute-force enumerator is kept as an independent oracle for
+Enumeration is orderly (Read, "Every one a winner", 1978): every
+canonical (n-1)-vertex key is decoded in its canonical labelling and
+extended by a new last vertex with each of the 2^(n-1) possible
+neighbourhoods, and a child is kept exactly when its own labelling is
+canonical.  The lex-min key is hereditary: in the canonical labelling of
+a graph the first n-1 vertices carry their own subgraph's canonical
+labelling, because their upper triangle is the first C(n-1, 2) bits of
+the graph6 text and is compared first.  So each class is emitted once,
+by one parent and one neighbourhood, and no dedup set is needed.  A
+2^C(n,2) brute-force enumerator is kept as an independent oracle for
 small n.
 
-Family members are independent work items; deck computation shards by
-member index across processes and merges by commutative multiset union,
-so reports are identical for any worker count.
+Family members are independent work items; augmentation and deck
+computation shard by member index across processes and concatenate, so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +35,10 @@ from .decks import Deck, compute_deck, deck_equal, edge_count_from_deck, phi_vec
 from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
 from .decks import _key_is_connected
 from .graphs import (
+    _REVERSED,
     Graph,
+    _g6_from_bits,
+    _triangle_bits,
     claw_subdivided,
     cycle_graph,
     degree_list,
@@ -107,18 +116,7 @@ class Connectedness(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# enumeration
-
-
-def _augmentations(parent_key: str) -> set[str]:
-    parent = _graph_of_key(parent_key)
-    n = parent.n + 1
-    out = set()
-    for mask in range(1 << parent.n):
-        rows = [r | ((mask >> v & 1) << (n - 1)) for v, r in enumerate(parent.rows)]
-        rows.append(mask)
-        out.add(canon._key_for_rows(n, tuple(rows)))
-    return out
+# worker pool
 
 
 def _check_jobs(jobs: int) -> None:
@@ -126,16 +124,42 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"worker count must be at least 1, got {jobs}")
 
 
-def _chunks(items: Sequence, jobs: int) -> list[Sequence]:
-    step = (len(items) + jobs - 1) // jobs
-    return [items[i : i + step] for i in range(0, len(items), step)]
-
-
-def _augment_chunk(parent_keys: Sequence[str]) -> set[str]:
-    out: set[str] = set()
-    for key in parent_keys:
-        out |= _augmentations(key)
+def _map_chunks(fn, items: Sequence, jobs: int, *args) -> list:
+    """``fn(chunk, *args)`` concatenated over chunks of ``items``: one
+    chunk in this process, or 4 * ``jobs`` chunks over ``jobs`` workers."""
+    if jobs == 1 or len(items) < 2:
+        return fn(items, *args)
+    step = -(-len(items) // (4 * jobs))
+    chunks = [items[i : i + step] for i in range(0, len(items), step)]
+    out: list = []
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        for part in pool.map(fn, chunks, *([arg] * len(chunks) for arg in args)):
+            out.extend(part)
     return out
+
+
+# ---------------------------------------------------------------------------
+# enumeration
+
+
+def _augmentations(parent_key: str) -> list[str]:
+    """Keys of the children of ``parent_key`` whose labelling is canonical."""
+    parent = _graph_of_key(parent_key)
+    m = parent.n
+    high = _triangle_bits(parent.rows) << m
+    out = []
+    for mask in range(1 << m):
+        rows = [r | ((mask >> v & 1) << m) for v, r in enumerate(parent.rows)]
+        rows.append(mask)
+        key = canon._key_for_rows(m + 1, tuple(rows))
+        # the child's own graph6: the parent's triangle, then column m
+        if key == _g6_from_bits(m + 1, high | _REVERSED[m][mask]):
+            out.append(key)
+    return out
+
+
+def _augment_chunk(parent_keys: Sequence[str]) -> list[str]:
+    return [key for parent in parent_keys for key in _augmentations(parent)]
 
 
 def enumerate_graphs(
@@ -143,7 +167,11 @@ def enumerate_graphs(
     jobs: int = 1,
     cache: "CensusCache | None" = None,
 ) -> GraphFamily:
-    """One canonical representative per isomorphism class of n-vertex graphs."""
+    """One canonical representative per isomorphism class of n-vertex graphs.
+
+    Raises ``ValueError``, before anything is stored, if non-canonical
+    parents (a stale cache file) give the family the wrong size.
+    """
     if not 1 <= n <= MAX_CENSUS_ORDER:
         raise ValueError(f"census order must be in [1, {MAX_CENSUS_ORDER}], got {n}")
     _check_jobs(jobs)
@@ -155,14 +183,13 @@ def enumerate_graphs(
         family = GraphFamily(1, ("@",))
     else:
         parents = enumerate_graphs(n - 1, jobs=jobs, cache=cache)
-        keys: set[str] = set()
-        if jobs > 1 and len(parents.members) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_augment_chunk, _chunks(parents.members, jobs)):
-                    keys |= part
-        else:
-            keys = _augment_chunk(parents.members)
-        family = GraphFamily(n, tuple(sorted(keys)))
+        keys = sorted(_map_chunks(_augment_chunk, parents.members, jobs))
+        if len(keys) != GRAPH_COUNTS[n - 1]:
+            raise ValueError(
+                f"{len(keys)} graphs on {n} vertices, not {GRAPH_COUNTS[n - 1]}: "
+                f"the {n - 1}-vertex family holds non-canonical keys"
+            )
+        family = GraphFamily(n, tuple(keys))
     if cache is not None:
         cache.store_family(family)
     return family
@@ -189,9 +216,8 @@ def brute_force_family(n: int) -> GraphFamily:
 
 
 def _deck_chunk(
-    args: tuple[Sequence[str], int]
+    keys: Sequence[str], k: int
 ) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    keys, k = args
     return [
         (key, compute_deck(_graph_of_key(key), k).sorted_entries()) for key in keys
     ]
@@ -209,8 +235,9 @@ def deck_classes(
     share a class exactly when their decks are equal.  Each class is then
     labeled with the FNV-1a digest of its entries, which only names it in
     class TSVs and cache files: a (vanishingly unlikely) collision yields
-    two classes that share a label, never a merged class.  (A reload from
-    ``cache`` still regroups by label.)
+    two classes that share a label, never a merged class.  (A class file
+    names classes by label only, so a reload from ``cache`` would read
+    two such classes back as one.)
     """
     if not 1 <= k <= family.order:
         raise ValueError(f"card size {k} out of range for order {family.order}")
@@ -219,14 +246,7 @@ def deck_classes(
         cached = cache.load_classes(family, k)
         if cached is not None:
             return cached
-    rows: list[tuple[str, tuple[tuple[str, int], ...]]] = []
-    if jobs > 1 and len(family.members) > 1:
-        chunk_args = [(chunk, k) for chunk in _chunks(family.members, jobs * 4)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_deck_chunk, chunk_args):
-                rows.extend(part)
-    else:
-        rows = _deck_chunk((family.members, k))
+    rows = _map_chunks(_deck_chunk, family.members, jobs, k)
 
     by_entries: dict[tuple[tuple[str, int], ...], list[str]] = {}
     for key, entries in rows:
@@ -423,10 +443,11 @@ class CensusCache:
 
     ``graphs_n{n}.g6`` holds one canonical graph6 key per line, sorted;
     ``classes_n{n}_k{k}.tsv`` holds ``digestHex<TAB>canonicalKey`` lines
-    sorted by digest then key.  Files are written atomically
+    sorted by digest then key, and a reload reads them in order,
+    starting a class at each new digest.  Files are written atomically
     (write-then-rename).  A file whose member count is wrong, or a class
-    line that is not ``digest<TAB>key``, raises ``ValueError`` naming
-    the file.
+    line that is not ``digest<TAB>key`` or not greater than the line
+    before it, raises ``ValueError`` naming the file and line.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -473,43 +494,47 @@ class CensusCache:
         path = self._classes_path(family.order, k)
         if not path.exists():
             return None
-        grouped: dict[str, list[str]] = {}
+        grouped: list[tuple[str, list[str]]] = []
+        digest, previous = None, ""
         for number, line in enumerate(path.read_text().splitlines(), 1):
-            if not line.strip():
-                continue
             try:
-                digest, key = line.split("\t")
+                label, key = line.split("\t")
             except ValueError:
                 raise ValueError(
                     f"{path}: line {number} is not digest<TAB>key"
                 ) from None
-            grouped.setdefault(digest, []).append(key)
-        count = sum(map(len, grouped.values()))
+            if line <= previous:
+                raise ValueError(f"{path}: line {number} is out of order")
+            previous = line
+            if label != digest:
+                digest = label
+                members: list[str] = []
+                grouped.append((label, members))
+            members.append(key)
+        count = sum(len(keys) for _, keys in grouped)
         if count != len(family):
             raise ValueError(
                 f"{path}: {count} members, but the family has {len(family)}"
             )
-        classes = tuple(
-            DeckClass(digest, tuple(sorted(members)))
-            for digest, members in sorted(grouped.items())
-        )
+        classes = tuple(DeckClass(label, tuple(keys)) for label, keys in grouped)
         return ClassReport(family.order, k, classes)
 
     def store_classes(self, report: ClassReport) -> None:
-        lines = [
-            f"{cls.digest_hex}\t{key}"
-            for cls in report.classes
-            for key in cls.members
-        ]
-        lines.sort()
         self._write_atomic(
             self._classes_path(report.order, report.card_size),
-            "\n".join(lines) + "\n",
+            "\n".join(_class_lines(report)) + "\n",
         )
 
 
 # ---------------------------------------------------------------------------
 # report rendering
+
+
+def _class_lines(report: ClassReport) -> list[str]:
+    """Sorted ``digest<TAB>key`` lines, one per member: the class file."""
+    return sorted(
+        f"{cls.digest_hex}\t{key}" for cls in report.classes for key in cls.members
+    )
 
 
 def emit_report(report: ClassReport, fmt: str = "summary") -> str:
@@ -530,11 +555,6 @@ def emit_report(report: ClassReport, fmt: str = "summary") -> str:
                 f"{v.key_a}\t{v.key_b}\t{v.witness}" for v in report.violations
             ]
         else:
-            lines = ["digest\tkey"]
-            lines += sorted(
-                f"{cls.digest_hex}\t{key}"
-                for cls in report.classes
-                for key in cls.members
-            )
+            lines = ["digest\tkey"] + _class_lines(report)
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}; choose summary or tsv")

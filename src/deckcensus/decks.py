@@ -222,7 +222,8 @@ def serialize_deck(deck: Deck) -> str:
 
 
 def parse_deck(text: str) -> Deck:
-    """Inverse of :func:`serialize_deck`, with full validation."""
+    """Inverse of :func:`serialize_deck`, with full validation: every card
+    key must be the canonical key of its card."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty deck text")
@@ -242,7 +243,11 @@ def parse_deck(text: str) -> Deck:
             raise ValueError(f"bad deck entry line {line!r}") from exc
         if key in entries:
             raise ValueError(f"duplicate deck entry for {key!r}")
-        if from_graph6(key).n != k:
+        card = from_graph6(key)
+        if card.n != k:
             raise ValueError(f"card {key!r} does not have {k} vertices")
+        canonical = _key_for_rows(k, card.rows)
+        if canonical != key:
+            raise ValueError(f"card {key!r} is not canonical; its key is {canonical!r}")
         entries[key] = mult
     return Deck(k, n, entries)

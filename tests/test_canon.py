@@ -18,9 +18,11 @@ from deckcensus.graphs import (
     disjoint_union,
     empty_graph,
     from_graph6,
+    induced_subgraph,
     named_graph,
     path_graph,
     claw_subdivided,
+    to_graph6,
 )
 
 from .helpers import brute_force_isomorphic, brute_force_min_bits, graph6_bits, permuted, random_graph
@@ -134,6 +136,18 @@ def test_relabeled_family_members_key_back(family5, family6, family7):
             g = from_graph6(key)
             for perm in perms:
                 assert canonical_key(permuted(g, perm)) == key
+
+
+def test_canonical_key_is_hereditary(family7):
+    # the first n-1 vertices of a canonical labelling are canonically
+    # labelled; orderly enumeration rests on this
+    rng = random.Random(20)
+    keys = list(family7.members)
+    keys += [canonical_key(random_graph(rng, n)) for n in (8, 9, 10) for _ in range(40)]
+    for key in keys:
+        g = from_graph6(key)
+        h = induced_subgraph(g, range(g.n - 1))
+        assert canonical_key(h) == to_graph6(h), key
 
 
 def test_exhaustive_n4_against_reference():

@@ -31,9 +31,10 @@ from deckcensus.graphs import (
     from_graph6,
     named_graph,
     path_graph,
+    to_graph6,
 )
 
-from .helpers import KNOWN_GRAPH_COUNTS
+from .helpers import KNOWN_GRAPH_COUNTS, permuted
 
 C5K1_KEY = canonical_key(named_graph("cycle5+empty1"))
 KPP_KEY = canonical_key(claw_subdivided(2))
@@ -86,6 +87,27 @@ def test_nonpositive_jobs_are_rejected(monkeypatch, family5):
             enumerate_graphs(5, jobs=jobs)
         with pytest.raises(ValueError, match="worker count"):
             deck_classes(family5, 3, jobs=jobs)
+
+
+def test_each_class_is_emitted_once(family5, family6):
+    families = {5: family5, 6: family6}
+    for n in range(2, 8):
+        parents = families.get(n - 1) or enumerate_graphs(n - 1)
+        emitted = sum(len(census._augmentations(p)) for p in parents.members)
+        assert emitted == census.GRAPH_COUNTS[n - 1]
+
+
+def test_non_canonical_parents_raise_before_storing(tmp_path, family5):
+    # every member relabelled by reversing its vertex order
+    relabelled = [
+        to_graph6(permuted(from_graph6(key), range(4, -1, -1)))
+        for key in family5.members
+    ]
+    assert sum(a != b for a, b in zip(relabelled, family5.members)) > 20
+    (tmp_path / "graphs_n5.g6").write_text("\n".join(relabelled) + "\n")
+    with pytest.raises(ValueError, match="non-canonical"):
+        enumerate_graphs(6, cache=CensusCache(tmp_path))
+    assert not (tmp_path / "graphs_n6.g6").exists()
 
 
 def test_parallel_enumeration_matches_serial(family6):

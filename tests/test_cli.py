@@ -264,6 +264,26 @@ def test_truncated_class_file_is_rejected(tmp_path, capsys):
     _error_names(capsys, argv, path)
 
 
+def test_regrouped_class_file_is_rejected(tmp_path, capsys):
+    argv = ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list",
+            "--cache-dir", str(tmp_path)]
+    assert run(argv) == (0, "n=5 k=3 classes=32 violations=2\n")
+    path = tmp_path / "classes_n5_k3.tsv"
+    lines = path.read_text().splitlines()
+    first = lines[0].split("\t")[0]
+    path.write_text("".join(f"{first}\t{line.split()[1]}\n" for line in lines))
+    _error_names(capsys, argv, path)
+
+
+def test_non_canonical_deck_file_is_rejected(tmp_path, capsys):
+    deck_file = tmp_path / "deck.tsv"
+    deck_file.write_text("k=3 n=6\nB?\t5\nBG\t10\nBW\t5\n")
+    argv = ["reconstructions", "--deck", str(deck_file), "--cache-dir", str(tmp_path)]
+    assert run(argv)[1].splitlines()[0] == "n=6 k=3 reconstructions=3"
+    deck_file.write_text("k=3 n=6\nB?\t5\nB_\t10\nBo\t5\n")
+    _error_names(capsys, argv, "'B_'")
+
+
 def test_order_ceiling_is_usage_error(capsys):
     for argv in (["reconstructions", "--named", "path9", "-k", "3"],
                  ["rho", "--named", "path9"]):

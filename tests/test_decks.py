@@ -265,3 +265,6 @@ def test_parse_deck_rejects_garbage():
         parse_deck("k=2 n=3\nBw\t3\n")  # 3-vertex card in a 2-deck
     with pytest.raises(ValueError):
         parse_deck("k=2 n=3\nA_\t2\nA_\t1\n")  # duplicate key
+    # the 3-deck of C5+K1 with relabelled, non-canonical card keys
+    with pytest.raises(ValueError, match="'B_'"):
+        parse_deck("k=3 n=6\nB?\t5\nB_\t10\nBo\t5\n")
