@@ -25,15 +25,18 @@ import enum
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import canon
 from .counting import phi_formula
-from .decks import Deck, compute_deck, deck_equal, edge_count_from_deck, phi_vector
+from .decks import Deck, compute_deck, deck_equal, phi_vector
 from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
-from .decks import _key_is_connected
+from .decks import _key_is_connected, _triangles_of_key
+from .decks import edge_count_from_deck  # noqa: F401 (perfbench/tracing.py binds it)
 from .graphs import (
     _REVERSED,
     Graph,
@@ -317,6 +320,25 @@ def verify_invariant(report: ClassReport, invariant: str) -> ClassReport:
 # realization search
 
 
+@lru_cache(maxsize=None)
+def _phi_of_counts(counts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """phi(0), ..., phi(k-1) of any graph with degree counts ``counts``."""
+    return tuple(phi_formula(counts, len(counts), k, j) for j in range(k))
+
+
+@lru_cache(maxsize=8)
+def _members_by_counts(members: tuple[str, ...]) -> dict[tuple[int, ...], list[int]]:
+    """Indices of ``members`` grouped by degree counts.
+
+    Keyed by content, because every command reloads its family from the
+    cache file; n = 8 has 1213 groups.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(members):
+        groups.setdefault(_degree_counts_of_key(key), []).append(i)
+    return groups
+
+
 def find_reconstructions(
     deck: Deck,
     n: int,
@@ -326,10 +348,21 @@ def find_reconstructions(
 ) -> tuple[str, ...]:
     """Canonical keys of every n-vertex graph whose k-deck equals ``deck``.
 
-    An empty result means no graph realizes the deck.  Edge-count and
-    degree-occurrence screens discard most candidates before the full
-    deck comparison; both are implied by deck equality, so they never
-    change the result.
+    An empty result means no graph realizes the deck.  By Kelly's lemma
+    the deck fixes the count of every induced subgraph on at most k
+    vertices, so two counts read off it once screen the family exactly:
+
+    - phi: the deck's degree-occurrence totals must equal those of the
+      member's degree counts (this also fixes the edge count, since
+      sum_j j * phi(j) = 2e * C(n-2, k-2));
+    - triangles (k >= 3): the member must have sum(mult * t(card)) /
+      C(n-3, k-3) triangles, and a total that does not divide means no
+      graph realizes the deck.
+
+    The phi screen runs once per degree-count vector of the family, not
+    once per member.  Only a member that passes both screens is decoded
+    and has its deck built and compared.  Both screens are implied by
+    deck equality, so they never change the result.
     """
     if deck.origin_order != n:
         raise ValueError(f"deck has origin order {deck.origin_order}, expected {n}")
@@ -338,24 +371,25 @@ def find_reconstructions(
     k = deck.card_size
     if family is None:
         family = enumerate_graphs(n, jobs=jobs, cache=cache)
-    target_edges: int | None = None
-    if k >= 2:
-        try:
-            target_edges = edge_count_from_deck(deck)
-        except UnrealizableDeckError:
-            return ()
     phi = phi_vector(deck)
+    triangles = None
+    if k >= 3:
+        total = sum(mult * _triangles_of_key(key) for key, mult in deck.entries.items())
+        triangles, rest = divmod(total, comb(n - 3, k - 3))
+        if rest:
+            return ()
+    members = family.members
     found = []
-    for key in family.members:
-        g = _graph_of_key(key)
-        if target_edges is not None and g.edge_count != target_edges:
+    for counts, indices in _members_by_counts(members).items():
+        if _phi_of_counts(counts, k) != phi:
             continue
-        counts = _degree_counts_of_key(key)
-        if any(phi_formula(counts, n, k, j) != phi[j] for j in range(k)):
-            continue
-        if deck_equal(compute_deck(g, k), deck):
-            found.append(key)
-    return tuple(found)
+        for i in indices:
+            key = members[i]
+            if triangles is not None and _triangles_of_key(key) != triangles:
+                continue
+            if deck_equal(compute_deck(_graph_of_key(key), k), deck):
+                found.append(i)
+    return tuple(members[i] for i in sorted(found))
 
 
 def decide_connectedness(
@@ -475,9 +509,7 @@ class CensusCache:
         path = self._family_path(n)
         if not path.exists():
             return None
-        members = tuple(
-            line.strip() for line in path.read_text().splitlines() if line.strip()
-        )
+        members = tuple(path.read_text().split())  # graph6 has no whitespace
         if len(members) != GRAPH_COUNTS[n - 1]:
             raise ValueError(
                 f"{path}: {len(members)} graphs, but there are "

@@ -99,6 +99,13 @@ def _key_is_connected(key: str) -> bool:
     return is_connected(_graph_of_key(key))
 
 
+@lru_cache(maxsize=None)
+def _triangles_of_key(key: str) -> int:
+    g = _graph_of_key(key)
+    # each triangle is counted once from each of its three edges
+    return sum((g.rows[u] & g.rows[v]).bit_count() for u, v in g.edges()) // 3
+
+
 def _add_cards(g: Graph, k: int, tally: dict[str, int], mult: int) -> None:
     """Add ``mult`` to ``tally[key]`` for each of the C(n, k) induced
     k-vertex cards of ``g``, ``key`` being the card's canonical key."""

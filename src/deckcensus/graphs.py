@@ -183,7 +183,12 @@ def from_graph6(text: str) -> Graph:
     pad = 6 * ndata - nbits
     if pad and val & ((1 << pad) - 1):
         raise Graph6Error(f"nonzero padding bits in final byte at offset {ndata}")
-    return Graph.from_rows(_rows_from_bits(size, val >> pad))
+    # rows decoded from upper-triangle bits are symmetric with a zero
+    # diagonal by construction, so they skip from_rows's checks
+    g = Graph.__new__(Graph)
+    object.__setattr__(g, "n", size)
+    object.__setattr__(g, "rows", tuple(_rows_from_bits(size, val >> pad)))
+    return g
 
 
 def read_graph6_lines(text: str) -> list[Graph]:

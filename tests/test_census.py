@@ -199,6 +199,27 @@ def test_find_reconstructions_always_contains_origin(family6):
             assert key in find_reconstructions(compute_deck(g, k), 6, family=family6)
 
 
+def _assert_matches_deck_classes(family, card_sizes, members):
+    for k in card_sizes:
+        classes = {
+            key: cls.members
+            for cls in deck_classes(family, k).classes
+            for key in cls.members
+        }
+        for key in members:
+            deck = compute_deck(from_graph6(key), k)
+            found = find_reconstructions(deck, family.order, family=family)
+            assert found == classes[key], (key, k)
+
+
+def test_find_reconstructions_matches_deck_classes_n6(family6):
+    _assert_matches_deck_classes(family6, range(1, 7), family6.members)
+
+
+def test_find_reconstructions_matches_deck_classes_n7(family7):
+    _assert_matches_deck_classes(family7, range(3, 7), family7.members[::10])
+
+
 def test_find_reconstructions_simple_cases(family7):
     deck = compute_deck(path_graph(7), 4)
     assert find_reconstructions(deck, 7, family=family7) == (

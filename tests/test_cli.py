@@ -284,6 +284,17 @@ def test_non_canonical_deck_file_is_rejected(tmp_path, capsys):
     _error_names(capsys, argv, "'B_'")
 
 
+def test_unrealizable_deck_files_have_no_reconstructions(tmp_path):
+    deck_file = tmp_path / "deck.tsv"
+    argv = ["reconstructions", "--deck", str(deck_file), "--cache-dir", str(tmp_path)]
+    # ten paths force 20/3 edges
+    deck_file.write_text("k=3 n=5\nBW\t10\n")
+    assert run(argv) == (0, "n=5 k=3 reconstructions=0\n")
+    # one K3+K1 card: 1 triangle over C(2, 1) = 2 cards per triangle
+    deck_file.write_text("k=4 n=5\nCJ\t1\nC?\t4\n")
+    assert run(argv) == (0, "n=5 k=4 reconstructions=0\n")
+
+
 def test_order_ceiling_is_usage_error(capsys):
     for argv in (["reconstructions", "--named", "path9", "-k", "3"],
                  ["rho", "--named", "path9"]):

@@ -15,9 +15,11 @@ import pytest
 
 from deckcensus import canon
 from deckcensus.canon import canonical_key
+from deckcensus.counting import binom
 from deckcensus.decks import (
     Deck,
     UnrealizableDeckError,
+    _triangles_of_key,
     compute_deck,
     connected_card_count,
     deck_equal,
@@ -212,6 +214,40 @@ def test_phi_vector_normalization_property():
         g = random_graph(rng, rng.randint(1, 7))
         k = rng.randint(1, g.n)
         assert sum(phi_vector(compute_deck(g, k))) == k * comb(g.n, k)
+
+
+def brute_force_triangles(g: Graph) -> int:
+    return sum(
+        g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+        for a, b, c in combinations(range(g.n), 3)
+    )
+
+
+def test_phi_vector_fixes_the_edge_count(family6):
+    # each card contributes twice its edges, and each edge lies on
+    # C(n-2, k-2) cards
+    for key in family6.members:
+        g = from_graph6(key)
+        for k in range(1, g.n + 1):
+            phi = phi_vector(compute_deck(g, k))
+            assert sum(j * p for j, p in enumerate(phi)) == (
+                2 * g.edge_count * binom(g.n - 2, k - 2)
+            )
+
+
+def test_card_triangles_total_the_graph_triangles(family6):
+    # each triangle lies on C(n-3, k-3) cards
+    for key in family6.members:
+        g = from_graph6(key)
+        t = brute_force_triangles(g)
+        assert _triangles_of_key(key) == t
+        for k in range(3, g.n + 1):
+            deck = compute_deck(g, k)
+            total = sum(
+                m * brute_force_triangles(from_graph6(c))
+                for c, m in deck.entries.items()
+            )
+            assert total == t * comb(g.n - 3, k - 3)
 
 
 def test_edge_count_from_deck():
