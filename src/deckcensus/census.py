@@ -29,13 +29,13 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from . import canon
 from .counting import phi_formula
 from .decks import Deck, compute_deck, deck_equal, phi_vector
 from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
-from .decks import _key_is_connected, _triangles_of_key
+from .decks import _key_is_connected, _sibling_tallies, _triangles_of_key
 from .decks import edge_count_from_deck  # noqa: F401 (perfbench/tracing.py binds it)
 from .graphs import (
     _REVERSED,
@@ -88,8 +88,10 @@ class GraphFamily:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class DeckClass:
+class DeckClass(NamedTuple):
+    """One deck class: its label and its sorted members.  A named tuple,
+    because a class-file reload builds one per class."""
+
     digest_hex: str
     members: tuple[str, ...]
 
@@ -221,9 +223,11 @@ def brute_force_family(n: int) -> GraphFamily:
 def _deck_chunk(
     keys: Sequence[str], k: int
 ) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    return [
-        (key, compute_deck(_graph_of_key(key), k).sorted_entries()) for key in keys
-    ]
+    """Each member's sorted k-deck entries.  Siblings (members with the
+    same first n-1 vertices) are contiguous in a sorted family, so they
+    share their parent's cards (see ``decks._sibling_tallies``)."""
+    tallies = _sibling_tallies((_graph_of_key(key) for key in keys), k)
+    return [(key, tuple(sorted(tally.items()))) for key, tally in zip(keys, tallies)]
 
 
 def deck_classes(
@@ -258,7 +262,7 @@ def deck_classes(
         DeckClass(_class_label(entries), tuple(sorted(members)))
         for entries, members in by_entries.items()
     ]
-    classes.sort(key=lambda c: (c.digest_hex, c.members))
+    classes.sort()
     report = ClassReport(family.order, k, tuple(classes))
     if cache is not None:
         cache.store_classes(report)

@@ -9,6 +9,7 @@ cold cache alike.  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -98,7 +99,10 @@ def _format_arg(parser: argparse.ArgumentParser) -> None:
                         help="output style (default: summary)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process: parsing reads it and
+    never changes it, and ``--jobs`` checks the CPU count as it parses."""
     parser = argparse.ArgumentParser(
         prog="deckcensus",
         description="k-decks of small graphs, degree-list recovery, and "

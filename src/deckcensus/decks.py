@@ -12,16 +12,21 @@ labeled upper-triangle bits, so every card's bits come out without
 building its rows.  Those bits are the key of the canonical-key memo
 (``canon._memo``), which is probed inline; only on a miss are the
 card's rows decoded from its bits and handed to ``canon._key_for_rows``.
+A census shares more: graphs with the same first n-1 vertices share
+that parent's cards, and each adds only the cards through its last
+vertex (:func:`_sibling_tallies`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .canon import _key_for_rows, _memo
-from .graphs import Graph, _rows_from_bits, degree_counts, from_graph6, is_connected
+from .graphs import Graph, _rows_from_bits, _triangle_bits, degree_counts
+from .graphs import from_graph6, is_connected
 
 
 class UnrealizableDeckError(ValueError):
@@ -106,15 +111,16 @@ def _triangles_of_key(key: str) -> int:
     return sum((g.rows[u] & g.rows[v]).bit_count() for u, v in g.edges()) // 3
 
 
-def _add_cards(g: Graph, k: int, tally: dict[str, int], mult: int) -> None:
-    """Add ``mult`` to ``tally[key]`` for each of the C(n, k) induced
-    k-vertex cards of ``g``, ``key`` being the card's canonical key."""
-    n = g.n
-    rows = g.rows
-    if k == 1:
-        key = _key_for_rows(1, (0,))
-        tally[key] = tally.get(key, 0) + n * mult
-        return
+def _card_bits(rows: Sequence[int], k: int) -> list[int]:
+    """Memo keys of the C(n, k) induced k-vertex cards of the graph with
+    adjacency ``rows`` (n = len(rows)), in lexicographic order of their
+    vertex sets.  Only the bits of vertices below n are read."""
+    n = len(rows)
+    if k < 2:
+        # no pairs: every card's key is the bare leading 1
+        return [1] * comb(n, k)
+    out: list[int] = []
+    append = out.append
     last = k - 1
 
     def extend(depth: int, start: int, bits: int, cols: list[int]) -> None:
@@ -134,13 +140,71 @@ def _add_cards(g: Graph, k: int, tally: dict[str, int], mult: int) -> None:
             # placing the last vertex at w completes a card
             prefix <<= last
             for w, c in enumerate(cols[i + 1:], v + 1):
-                card_bits = prefix | c << 1 | (rv >> w & 1)
-                key = _memo.get(card_bits)
-                if key is None:
-                    key = _key_for_rows(k, tuple(_rows_from_bits(k, card_bits)))
-                tally[key] = tally.get(key, 0) + mult
+                append(prefix | c << 1 | (rv >> w & 1))
 
     extend(0, 0, 1, [0] * n)
+    return out
+
+
+def _tally_cards(k: int, card_bits: Iterable[int], tally: dict[str, int],
+                 mult: int) -> None:
+    """Add ``mult`` to ``tally[key]`` for each k-card memo key in
+    ``card_bits``, ``key`` being the card's canonical key."""
+    probe = _memo.get
+    for bits in card_bits:
+        key = probe(bits)
+        if key is None:
+            key = _key_for_rows(k, tuple(_rows_from_bits(k, bits)))
+        tally[key] = tally.get(key, 0) + mult
+
+
+@lru_cache(maxsize=None)
+def _gather_tables(m: int, size: int) -> tuple[list[int], ...]:
+    """One table per size-subset S of range(m), in the order of
+    :func:`_card_bits`: ``table[row]`` is the bits of ``row`` on S, first
+    vertex of S most significant, that is the column of a vertex with
+    neighbourhood ``row`` against S."""
+    return tuple(
+        [sum((row >> v & 1) << (size - 1 - i) for i, v in enumerate(subset))
+         for row in range(1 << m)]
+        for subset in combinations(range(m), size)
+    )
+
+
+def _sibling_tallies(graphs: Iterable[Graph], k: int) -> Iterator[dict[str, int]]:
+    """The k-deck entries of each graph in turn, as fresh dicts.
+
+    A k-card of an n-vertex graph either avoids its last vertex n-1, and
+    is then a k-card of its parent P (the graph on its first n-1
+    vertices), or is S + {n-1} for a (k-1)-subset S of P's vertices, with
+    memo key ``bits(P[S]) << (k-1) | gather_S(row[n-1])``.  Consecutive
+    graphs with the same parent (the same first C(n-1, 2) triangle bits)
+    form a run: the parent's k-card tally and the keys of its (k-1)-cards
+    are computed once per run, and each graph then adds only its
+    C(n-1, k-1) cards through vertex n-1, one table lookup and one memo
+    probe each.  Only equal parent bits are shared, so the result does
+    not depend on the order or labelling of ``graphs``.
+    """
+    run = None
+    for g in graphs:
+        if not 1 <= k <= g.n:
+            raise ValueError(f"card size {k} out of range for n={g.n}")
+        parent = g.rows[:-1]
+        m = g.n - 1
+        # the order too, since orders 0 and 1 both have no triangle bits
+        parent_bits = (m, _triangle_bits(parent))
+        if parent_bits != run:
+            run = parent_bits
+            base: dict[str, int] = {}
+            _tally_cards(k, _card_bits(parent, k), base, 1)
+            through = list(zip(
+                [bits << (k - 1) for bits in _card_bits(parent, k - 1)],
+                _gather_tables(m, k - 1),
+            ))
+        tally = base.copy()
+        row = g.rows[-1]
+        _tally_cards(k, [high | table[row] for high, table in through], tally, 1)
+        yield tally
 
 
 def compute_deck(g: Graph, k: int) -> Deck:
@@ -148,7 +212,7 @@ def compute_deck(g: Graph, k: int) -> Deck:
     if not 1 <= k <= g.n:
         raise ValueError(f"card size {k} out of range for n={g.n}")
     entries: dict[str, int] = {}
-    _add_cards(g, k, entries, 1)
+    _tally_cards(k, _card_bits(g.rows, k), entries, 1)
     return Deck(k, g.n, entries)
 
 
@@ -175,7 +239,7 @@ def derive_subdeck(deck: Deck) -> Deck:
         raise ValueError("sub-deck derivation needs card size >= 2")
     acc: dict[str, int] = {}
     for key, mult in deck.entries.items():
-        _add_cards(_graph_of_key(key), k - 1, acc, mult)
+        _tally_cards(k - 1, _card_bits(_graph_of_key(key).rows, k - 1), acc, mult)
     divisor = n - k + 1
     entries: dict[str, int] = {}
     for subkey, total in acc.items():

@@ -53,6 +53,8 @@ CRITERIA = {
     9: "sub-deck law matches direct decks for all n<=7, k>=2",
     10: "difference residuals vanish on every deck-equal pair found",
     11: "every connected 7-vertex graph has >= 2 connected 4-cards",
+    12: "n=8 censuses: the 5-deck fixes degree list and connectedness, "
+    "the 4-deck does not (G?Che?/G?Cid?)",
 }
 RESULTS: dict[int, str] = {}
 
@@ -221,3 +223,21 @@ def test_criterion_11_connected_cards(family7):
         if is_connected(g):
             assert connected_card_count(compute_deck(g, 4)) >= 2
     _record(11)
+
+
+def test_criterion_12_n8_censuses(family8):
+    start = time.time()
+    # l = 3: every 5-deck class agrees on both invariants
+    rep85 = deck_classes(family8, 5)
+    assert len(rep85.classes) == 12342
+    assert verify_invariant(rep85, "degree_list").violations == ()
+    assert verify_invariant(rep85, "connectedness").violations == ()
+    # l = 4 is sharp: 4-deck classes split on both
+    rep84 = deck_classes(family8, 4)
+    assert len(rep84.classes) == 11297
+    assert len(verify_invariant(rep84, "degree_list").violations) == 6
+    connectedness = verify_invariant(rep84, "connectedness").violations
+    assert len(connectedness) == 4
+    assert ("G?Che?", "G?Cid?") in {(v.key_a, v.key_b) for v in connectedness}
+    assert time.time() - start < 300
+    _record(12)

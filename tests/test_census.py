@@ -2,6 +2,7 @@
 search over small families."""
 
 import concurrent.futures
+import random
 
 import pytest
 
@@ -129,6 +130,57 @@ def test_deck_classes_partition(family5, family6):
 
 def test_deck_classes_jobs_parity(family6):
     assert deck_classes(family6, 3, jobs=3) == deck_classes(family6, 3)
+
+
+def _oracle_entries(keys, k):
+    return [(key, compute_deck(from_graph6(key), k).sorted_entries()) for key in keys]
+
+
+def test_census_decks_match_compute_deck(family5, family6, family7):
+    for family in (family5, family6, family7):
+        for k in range(1, family.order + 1):
+            keys = family.members
+            assert census._deck_chunk(keys, k) == _oracle_entries(keys, k), k
+
+
+def test_census_decks_do_not_need_sorted_or_canonical_members(family6):
+    rng = random.Random(61)
+    shuffled = list(family6.members)
+    rng.shuffle(shuffled)
+    # one relabelling of the first five vertices keeps siblings together
+    # under a parent labelling that is not canonical; random relabellings
+    # break the runs up
+    fixed = [3, 0, 4, 1, 2, 5]
+    kept = [to_graph6(permuted(from_graph6(key), fixed)) for key in family6.members]
+    scattered = [
+        to_graph6(permuted(from_graph6(key), rng.sample(range(6), 6)))
+        for key in family6.members
+    ]
+    assert sum(key != canonical_key(from_graph6(key)) for key in kept) > 100
+    for keys in (shuffled, kept, scattered):
+        for k in range(1, 7):
+            assert census._deck_chunk(keys, k) == _oracle_entries(keys, k), k
+
+
+def _parent_rows(key):
+    g = from_graph6(key)
+    low = (1 << (g.n - 1)) - 1
+    return tuple(row & low for row in g.rows[:-1])
+
+
+def test_census_chunks_may_split_a_sibling_run(family7):
+    keys = family7.members
+    # members i - 1 and i share their first six vertices
+    splits = [
+        i for i in range(1, len(keys))
+        if _parent_rows(keys[i - 1]) == _parent_rows(keys[i])
+    ][::97]
+    assert len(splits) >= 5
+    for k in (1, 3, 5, 7):
+        whole = census._deck_chunk(keys, k)
+        for i in splits:
+            halves = census._deck_chunk(keys[:i], k) + census._deck_chunk(keys[i:], k)
+            assert halves == whole, (k, i)
 
 
 def test_class_label_is_stable():
@@ -319,6 +371,8 @@ def test_cache_roundtrip(tmp_path, family5):
     assert all(len(line.split("\t")) == 2 for line in lines)
     reloaded = deck_classes(fam, 3, cache=cache)
     assert reloaded.classes == rep.classes
+    with pytest.raises(AttributeError):
+        reloaded.classes[0].members = ()
 
 
 def test_emit_report_formats(family5):

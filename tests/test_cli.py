@@ -225,6 +225,18 @@ def test_output_is_repeatable():
     assert run(argv) == run(argv)
 
 
+def test_one_parser_serves_every_call():
+    # the parser is built once; an error exit and the runs around it
+    # leave it as it was
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["compare", "--g6a", C5K1_G6, "--g6b", KPP_G6, "-k", "3"]
+    assert run(argv) == (0, "EQUAL\n")
+    with pytest.raises(SystemExit):
+        cli.dispatch(["compare", "--g6a", C5K1_G6, "-k", "3"])
+    assert run(argv[:-1] + ["4"]) == (0, "DIFFER\n")
+    assert run(argv) == (0, "EQUAL\n")
+
+
 def test_jobs_flag_does_not_change_output(monkeypatch, tmp_path):
     # --jobs is bounded by the CPU count; two real workers run on any host
     cpus = os.cpu_count() or 1

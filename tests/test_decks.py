@@ -19,6 +19,7 @@ from deckcensus.counting import binom
 from deckcensus.decks import (
     Deck,
     UnrealizableDeckError,
+    _sibling_tallies,
     _triangles_of_key,
     compute_deck,
     connected_card_count,
@@ -137,6 +138,29 @@ def test_clear_cache_is_transparent_for_decks():
     canon.clear_cache()
     assert not canon._memo
     assert decks_and_subdecks() == warm
+
+
+def test_sibling_tallies_match_compute_deck_across_orders():
+    # consecutive graphs of different orders never share a parent, even
+    # where neither parent has a pair of vertices (orders 1 and 2)
+    rng = random.Random(53)
+    for k in range(1, 5):
+        graphs = []
+        if k == 1:
+            graphs += [complete_graph(1), complete_graph(2), empty_graph(2)]
+        for _ in range(40):
+            n = rng.randint(max(k, 2), 7)
+            g = random_graph(rng, n)
+            graphs.append(g)
+            # a sibling: the same first n-1 vertices, another last row
+            edges = [e for e in g.edges() if e[1] < n - 1]
+            last = [(u, n - 1) for u in range(n - 1) if rng.random() < 0.5]
+            graphs.append(Graph(n, edges + last))
+        canon.clear_cache()
+        tallies = list(_sibling_tallies(graphs, k))
+        assert tallies == [compute_deck(g, k).entries for g in graphs], k
+    with pytest.raises(ValueError):
+        list(_sibling_tallies([K3], 4))
 
 
 def test_deck_is_relabeling_invariant():
