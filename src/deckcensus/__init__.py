@@ -14,7 +14,6 @@ from .census import (
     DeckClass,
     GraphFamily,
     Violation,
-    brute_force_family,
     deck_classes,
     decide_connectedness,
     emit_report,
@@ -34,7 +33,6 @@ from .counting import (
     phi_diff_residual,
     phi_formula,
     reconstruct_degree_list,
-    reconstruct_with_zero_high,
 )
 from .decks import (
     Deck,

@@ -9,9 +9,7 @@ canonical.  The lex-min key is hereditary: in the canonical labelling of
 a graph the first n-1 vertices carry their own subgraph's canonical
 labelling, because their upper triangle is the first C(n-1, 2) bits of
 the graph6 text and is compared first.  So each class is emitted once,
-by one parent and one neighbourhood, and no dedup set is needed.  A
-2^C(n,2) brute-force enumerator is kept as an independent oracle for
-small n.
+by one parent and one neighbourhood, and no dedup set is needed.
 
 Family members are independent work items; augmentation and deck
 computation shard by member index across processes and concatenate, so
@@ -198,22 +196,6 @@ def enumerate_graphs(
     if cache is not None:
         cache.store_family(family)
     return family
-
-
-def brute_force_family(n: int) -> GraphFamily:
-    """Independent oracle: deduplicate all 2^C(n,2) edge subsets (n <= 6)."""
-    if not 1 <= n <= 6:
-        raise ValueError(f"brute-force enumeration is restricted to n <= 6, got {n}")
-    pairs = list(combinations(range(n), 2))
-    keys = set()
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for bit, (u, v) in enumerate(pairs):
-            if mask >> bit & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        keys.add(canon._key_for_rows(n, tuple(rows)))
-    return GraphFamily(n, tuple(sorted(keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,34 +423,27 @@ def reconstructibility_number(
 # known deck-equal pairs
 
 
-def known_pairs(
-    l: int, include_claw_pairs: bool | None = None
-) -> tuple[tuple[Graph, Graph, int], ...]:
-    """Known pairs of non-isomorphic graphs sharing an l-deck.
+def known_pairs(l: int) -> tuple[tuple[Graph, Graph, int], ...]:
+    """Known pairs of non-isomorphic graphs sharing a deck of l-vertex
+    cards, each as (g, h, l).
 
-    Always contains (C_{l+1} + P_{l-1}, P_{2l}) at card size l; the two
-    subdivided-claw pairs (card size 3) ride along when l = 3 or on
-    request.  Every returned pair is checked to share its stated deck.
+    ``l`` is the card size, not the number of deleted vertices: the
+    pair (C_{l+1} + P_{l-1}, P_{2l}) misses l of its 2l vertices, but at
+    l = 3 the two subdivided-claw pairs, on 5 and 6 vertices, miss 2
+    and 3.
     """
     if not 2 <= l <= 4:
         raise ValueError(f"pair parameter must be in [2, 4], got {l}")
-    if include_claw_pairs is None:
-        include_claw_pairs = l == 3
     pairs = [
         (disjoint_union(cycle_graph(l + 1), path_graph(l - 1)), path_graph(2 * l), l)
     ]
-    if include_claw_pairs:
+    if l == 3:
         pairs.append(
             (disjoint_union(cycle_graph(4), empty_graph(1)), claw_subdivided(1), 3)
         )
         pairs.append(
             (disjoint_union(cycle_graph(5), empty_graph(1)), claw_subdivided(2), 3)
         )
-    for g, h, k in pairs:
-        if not deck_equal(compute_deck(g, k), compute_deck(h, k)):
-            raise AssertionError(
-                f"known pair on {g.n} vertices fails to share its {k}-deck"
-            )
     return tuple(pairs)
 
 

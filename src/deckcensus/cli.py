@@ -20,39 +20,19 @@ from .canon import canonical_key
 DEFAULT_CACHE_DIR = "./census-cache"
 
 
-def _graph_source(parser: argparse.ArgumentParser, suffix: str = "") -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument(f"--g6{suffix}", metavar="TEXT", help="graph as graph6 text")
-    group.add_argument(
-        f"--named{suffix}",
-        metavar="SPEC",
-        help="named builder spec, e.g. cycle5+empty1, path6, claw2",
-    )
-    if not suffix:
-        group.add_argument(
-            "--file", metavar="PATH", help="file with one graph6 per line"
-        )
-
-
 def _load_graphs(args, suffix: str = "") -> list[graphs.Graph]:
+    """The graphs a command names: one from ``--g6``/``--named`` (with
+    ``suffix``), or every graph in ``deck --file``."""
     g6 = getattr(args, f"g6{suffix}")
     named = getattr(args, f"named{suffix}")
     if g6 is not None:
         return [graphs.from_graph6(g6)]
     if named is not None:
         return [graphs.named_graph(named)]
-    text = Path(args.file).read_text()
-    found = graphs.read_graph6_lines(text)
+    found = graphs.read_graph6_lines(Path(args.file).read_text())
     if not found:
         raise ValueError(f"no graphs found in {args.file}")
     return found
-
-
-def _load_one(args, suffix: str = "") -> graphs.Graph:
-    found = _load_graphs(args, suffix)
-    if len(found) != 1:
-        raise ValueError(f"expected exactly one graph, got {len(found)}")
-    return found[0]
 
 
 def _jobs(text: str) -> int:
@@ -67,121 +47,12 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _deck_source(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--g6", metavar="TEXT", help="graph as graph6 text")
-    group.add_argument("--named", metavar="SPEC", help="named builder spec")
-    group.add_argument("--deck", metavar="PATH",
-                       help="deck file (header 'k=<k> n=<n>', then key<TAB>mult)")
-    parser.add_argument("-k", type=int, help="card size of the source deck "
-                        "(required with --g6/--named)")
-
-
-def _census_order(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-n", type=int, required=True, help="graph order (<= 8, or 9 "
-                        "with --enable-n9)")
-    parser.add_argument("-k", type=int, required=True, help="card size")
-    parser.add_argument("--enable-n9", action="store_true",
-                        help="allow the n=9 census (large; minutes to hours)")
-
-
-def _census_args(parser: argparse.ArgumentParser, *, jobs: bool) -> None:
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
-                        help="census cache directory (default: ./census-cache)")
-    if jobs:
-        parser.add_argument("--jobs", type=_jobs, default=1, metavar="N",
-                            help="worker processes, at most the number of CPUs; "
-                            "results are identical for any N")
-
-
-def _format_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("summary", "tsv"), default="summary",
-                        help="output style (default: summary)")
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command parser, built once per process: parsing reads it and
-    never changes it, and ``--jobs`` checks the CPU count as it parses."""
-    parser = argparse.ArgumentParser(
-        prog="deckcensus",
-        description="k-decks of small graphs, degree-list recovery, and "
-        "exhaustive deck censuses",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, run, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
-        return p
-
-    p = command("deck", _run_deck, "compute the k-deck of a graph")
-    _graph_source(p)
-    p.add_argument("-k", type=int, required=True, help="card size")
-    _format_arg(p)
-
-    p = command("compare", _run_compare, "test whether two graphs share a k-deck")
-    _graph_source(p, "a")
-    _graph_source(p, "b")
-    p.add_argument("-k", type=int, required=True, help="card size")
-
-    p = command("subdeck", _run_subdeck, "derive the (k-1)-deck from a k-deck")
-    _deck_source(p)
-    p.add_argument("--steps", type=int, default=1,
-                   help="how many derivation steps (default: 1)")
-
-    p = command("degrees", _run_degrees, "recover a degree list from a k-deck")
-    _deck_source(p)
-    p.add_argument("--high", metavar="I=A,...", default="",
-                   help="counts of degrees >= k, e.g. '3=1,4=0,5=0'; "
-                   "omitted degrees default to 0")
-    _format_arg(p)
-
-    p = command("phi", _run_phi, "degree-occurrence totals of a k-deck")
-    _graph_source(p)
-    p.add_argument("-k", type=int, required=True, help="card size")
-    _format_arg(p)
-
-    p = command("classes", _run_classes, "partition all n-vertex graphs by k-deck")
-    _census_order(p)
-    _census_args(p, jobs=True)
-    _format_arg(p)
-
-    p = command("verify", _run_verify, "check an invariant across deck classes")
-    _census_order(p)
-    p.add_argument("--invariant", required=True, choices=census.INVARIANTS)
-    _census_args(p, jobs=True)
-    _format_arg(p)
-
-    p = command("reconstructions", _run_reconstructions,
-                "all graphs of the deck's order realizing a deck (order <= 8)")
-    _deck_source(p)
-    _census_args(p, jobs=True)
-    _format_arg(p)
-
-    p = command("rho", _run_rho, "reconstructibility number of a graph (order <= 8)")
-    _graph_source(p)
-    _census_args(p, jobs=False)
-
-    p = command("pairs", _run_pairs, "known deck-equal pairs for a parameter l")
-    p.add_argument("-l", type=int, required=True, help="deleted-vertex count "
-                   "(2..4)")
-    p.add_argument("--claw-pairs", action="store_true",
-                   help="include the subdivided-claw pairs even when l != 3")
-
-    p = command("threshold", _run_threshold,
-                "degree-list recovery order threshold g(l)")
-    p.add_argument("-l", type=int, required=True, help="deleted-vertex count "
-                   "(>= 3)")
-    return parser
-
-
 def _deck_from_args(args, parser: argparse.ArgumentParser) -> decks.Deck:
     if args.deck is not None:
         return decks.parse_deck(Path(args.deck).read_text())
     if args.k is None:
         parser.error("-k is required with --g6/--named input")
-    g = _load_one(args)
+    [g] = _load_graphs(args)
     return decks.compute_deck(g, args.k)
 
 
@@ -198,10 +69,6 @@ def _guard_ceiling(n: int, what: str, parser: argparse.ArgumentParser) -> None:
     ceiling = census.DEFAULT_CENSUS_CEILING
     if n > ceiling:
         parser.error(f"{what} is capped at n={ceiling}, got n={n}")
-
-
-def _cache(args) -> census.CensusCache:
-    return census.CensusCache(args.cache_dir)
 
 
 def _run_deck(args, parser, out) -> None:
@@ -221,8 +88,8 @@ def _run_deck(args, parser, out) -> None:
 
 
 def _run_compare(args, parser, out) -> None:
-    a = _load_one(args, "a")
-    b = _load_one(args, "b")
+    [a] = _load_graphs(args, "a")
+    [b] = _load_graphs(args, "b")
     equal = decks.deck_equal(decks.compute_deck(a, args.k), decks.compute_deck(b, args.k))
     out.write("EQUAL\n" if equal else "DIFFER\n")
 
@@ -246,9 +113,7 @@ def _parse_high(text: str, k: int, n: int) -> dict[int, int]:
             except ValueError:
                 raise ValueError(f"bad --high item {item!r}; expected I=A") from None
             if degree not in counts:
-                raise ValueError(
-                    f"--high degree {degree} outside [{k}, {n - 1}]"
-                )
+                raise ValueError(f"--high degree {degree} outside [{k}, {n - 1}]")
             counts[degree] = value
     return counts
 
@@ -269,7 +134,7 @@ def _run_degrees(args, parser, out) -> None:
 
 
 def _run_phi(args, parser, out) -> None:
-    g = _load_one(args)
+    [g] = _load_graphs(args)
     deck = decks.compute_deck(g, args.k)
     totals = decks.phi_vector(deck)
     if args.format == "tsv":
@@ -280,28 +145,23 @@ def _run_phi(args, parser, out) -> None:
         out.write("phi=(" + ",".join(map(str, totals)) + ")\n")
 
 
-def _run_classes(args, parser, out) -> None:
+def _run_census(args, parser, out) -> None:
+    """``classes``, and ``verify``, which checks an invariant on its classes."""
     _guard_order(args, parser)
-    family = census.enumerate_graphs(args.n, jobs=args.jobs, cache=_cache(args))
-    report = census.deck_classes(family, args.k, jobs=args.jobs, cache=_cache(args))
+    cache = census.CensusCache(args.cache_dir)
+    family = census.enumerate_graphs(args.n, jobs=args.jobs, cache=cache)
+    report = census.deck_classes(family, args.k, jobs=args.jobs, cache=cache)
+    if args.command == "verify":
+        report = census.verify_invariant(report, args.invariant)
     out.write(census.emit_report(report, args.format))
-
-
-def _run_verify(args, parser, out) -> None:
-    _guard_order(args, parser)
-    family = census.enumerate_graphs(args.n, jobs=args.jobs, cache=_cache(args))
-    report = census.deck_classes(family, args.k, jobs=args.jobs, cache=_cache(args))
-    checked = census.verify_invariant(report, args.invariant)
-    out.write(census.emit_report(checked, args.format))
 
 
 def _run_reconstructions(args, parser, out) -> None:
     deck = _deck_from_args(args, parser)
     n = deck.origin_order
     _guard_ceiling(n, "realization search", parser)
-    keys = census.find_reconstructions(
-        deck, n, jobs=args.jobs, cache=_cache(args)
-    )
+    cache = census.CensusCache(args.cache_dir)
+    keys = census.find_reconstructions(deck, n, jobs=args.jobs, cache=cache)
     if args.format == "summary":
         out.write(f"n={n} k={deck.card_size} reconstructions={len(keys)}\n")
     for key in keys:
@@ -309,19 +169,112 @@ def _run_reconstructions(args, parser, out) -> None:
 
 
 def _run_rho(args, parser, out) -> None:
-    g = _load_one(args)
+    [g] = _load_graphs(args)
     _guard_ceiling(g.n, "reconstructibility", parser)
-    out.write(f"{census.reconstructibility_number(g, cache=_cache(args))}\n")
+    cache = census.CensusCache(args.cache_dir)
+    out.write(f"{census.reconstructibility_number(g, cache=cache)}\n")
 
 
 def _run_pairs(args, parser, out) -> None:
-    include = True if args.claw_pairs else None
-    for g, h, k in census.known_pairs(args.l, include_claw_pairs=include):
+    for g, h, k in census.known_pairs(args.l):
         out.write(f"{canonical_key(g)}\t{canonical_key(h)}\t{k}\tEQUAL\n")
 
 
 def _run_threshold(args, parser, out) -> None:
     out.write(f"{counting.degree_list_threshold(args.l):.12g}\n")
+
+
+# Shared argument specs.  A spec is (option string, add_argument keywords);
+# in a command's arguments, a list of specs is a required choice of
+# exactly one of them.
+_G6 = {"metavar": "TEXT", "help": "graph as graph6 text"}
+_NAMED = {"metavar": "SPEC",
+          "help": "named builder spec, e.g. cycle5+empty1, path6, claw2"}
+_GRAPH = [("--g6", _G6), ("--named", _NAMED)]
+_DECK_INPUT = (
+    [*_GRAPH, ("--deck", {"metavar": "PATH", "help": "deck file "
+                          "(header 'k=<k> n=<n>', then key<TAB>mult)"})],
+    ("-k", {"type": int, "help": "card size of the source deck "
+            "(required with --g6/--named)"}),
+)
+_K = ("-k", {"type": int, "required": True, "help": "card size"})
+_FORMAT = ("--format", {"choices": ("summary", "tsv"), "default": "summary",
+                        "help": "output style (default: summary)"})
+_CACHE_DIR = ("--cache-dir", {"default": DEFAULT_CACHE_DIR, "metavar": "DIR",
+                              "help": "census cache directory "
+                              "(default: ./census-cache)"})
+_JOBS = ("--jobs", {"type": _jobs, "default": 1, "metavar": "N",
+                    "help": "worker processes, at most the number of CPUs; "
+                    "results are identical for any N"})
+_CENSUS_ORDER = (
+    ("-n", {"type": int, "required": True,
+            "help": "graph order (<= 8, or 9 with --enable-n9)"}),
+    _K,
+    ("--enable-n9", {"action": "store_true",
+                     "help": "allow the n=9 census (large; minutes to hours)"}),
+)
+
+# One row per subcommand: (name, handler, help, arguments).
+_COMMANDS = (
+    ("deck", _run_deck, "compute the k-deck of a graph", (
+        [*_GRAPH, ("--file", {"metavar": "PATH",
+                              "help": "file with one graph6 per line"})],
+        _K, _FORMAT)),
+    ("compare", _run_compare, "test whether two graphs share a k-deck", (
+        [("--g6a", _G6), ("--nameda", _NAMED)],
+        [("--g6b", _G6), ("--namedb", _NAMED)], _K)),
+    ("subdeck", _run_subdeck, "derive the (k-1)-deck from a k-deck", (
+        *_DECK_INPUT,
+        ("--steps", {"type": int, "default": 1,
+                     "help": "how many derivation steps (default: 1)"}))),
+    ("degrees", _run_degrees, "recover a degree list from a k-deck", (
+        *_DECK_INPUT,
+        ("--high", {"metavar": "I=A,...", "default": "",
+                    "help": "counts of degrees >= k, e.g. '3=1,4=0,5=0'; "
+                    "omitted degrees default to 0"}),
+        _FORMAT)),
+    ("phi", _run_phi, "degree-occurrence totals of a k-deck", (_GRAPH, _K, _FORMAT)),
+    ("classes", _run_census, "partition all n-vertex graphs by k-deck",
+     (*_CENSUS_ORDER, _CACHE_DIR, _JOBS, _FORMAT)),
+    ("verify", _run_census, "check an invariant across deck classes", (
+        *_CENSUS_ORDER,
+        ("--invariant", {"required": True, "choices": census.INVARIANTS}),
+        _CACHE_DIR, _JOBS, _FORMAT)),
+    ("reconstructions", _run_reconstructions,
+     "all graphs of the deck's order realizing a deck (order <= 8)",
+     (*_DECK_INPUT, _CACHE_DIR, _JOBS, _FORMAT)),
+    ("rho", _run_rho, "reconstructibility number of a graph (order <= 8)",
+     (_GRAPH, _CACHE_DIR)),
+    ("pairs", _run_pairs, "known deck-equal pairs for a card size l", (
+        ("-l", {"type": int, "required": True,
+                "help": "card size of the shared deck (2..4)"}),)),
+    ("threshold", _run_threshold, "degree-list recovery order threshold g(l)", (
+        ("-l", {"type": int, "required": True,
+                "help": "deleted-vertex count (>= 3)"}),)),
+)
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process: parsing reads it and
+    never changes it, and ``--jobs`` checks the CPU count as it parses."""
+    parser = argparse.ArgumentParser(
+        prog="deckcensus",
+        description="k-decks of small graphs, degree-list recovery, and "
+        "exhaustive deck censuses",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, run, help_text, arguments in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(run=run)
+        for spec in arguments:
+            if isinstance(spec, list):
+                group = command.add_mutually_exclusive_group(required=True)
+                for flag, options in spec:
+                    group.add_argument(flag, **options)
+            else:
+                command.add_argument(spec[0], **spec[1])
+    return parser
 
 
 def dispatch(argv: list[str] | None = None, out=None) -> int:

@@ -39,6 +39,14 @@ def _check_ranges(n: int, k: int, j: int) -> None:
         raise ValueError(f"degree {j} out of range for card size {k}")
 
 
+def _identity_sum(x: Sequence[int], n: int, k: int, j: int, start: int) -> int:
+    """sum of x[i] * C(i, j) * C(n-1-i, k-1-j) over i in [start, j + n - k]."""
+    return sum(
+        x[i] * binom(i, j) * binom(n - 1 - i, k - 1 - j)
+        for i in range(start, j + n - k + 1)
+    )
+
+
 def phi_formula(counts: Sequence[int], n: int, k: int, j: int) -> int:
     """Formula-side phi(j) evaluated from degree counts a_0..a_{n-1}."""
     _check_ranges(n, k, j)
@@ -46,11 +54,7 @@ def phi_formula(counts: Sequence[int], n: int, k: int, j: int) -> int:
         raise ValueError(f"expected {n} degree counts, got {len(counts)}")
     if any(c < 0 for c in counts) or sum(counts) != n:
         raise ValueError(f"degree counts {tuple(counts)} do not describe {n} vertices")
-    l = n - k
-    return sum(
-        counts[i] * binom(i, j) * binom(n - 1 - i, k - 1 - j)
-        for i in range(j, j + l + 1)
-    )
+    return _identity_sum(counts, n, k, j, j)
 
 
 def reconstruct_degree_list(
@@ -84,12 +88,8 @@ def reconstruct_degree_list(
     counts = [0] * n
     for i in range(k, n):
         counts[i] = high_counts[i]
-    l = n - k
     for j in range(k - 1, -1, -1):
-        known = sum(
-            counts[i] * binom(i, j) * binom(n - 1 - i, k - 1 - j)
-            for i in range(j + 1, j + l + 1)
-        )
+        known = _identity_sum(counts, n, k, j, j + 1)
         coeff = binom(n - 1 - j, k - 1 - j)
         remainder = phi[j] - known
         if remainder < 0 or remainder % coeff:
@@ -104,15 +104,6 @@ def reconstruct_degree_list(
             f"is not a degree count vector on {n} vertices"
         )
     return tuple(counts)
-
-
-def reconstruct_with_zero_high(deck: Deck, n: int) -> tuple[int, ...] | None:
-    """Convenience wrapper: try all-zero high counts, None if inconsistent."""
-    zeros = {i: 0 for i in range(deck.card_size, n)}
-    try:
-        return reconstruct_degree_list(deck, n, zeros)
-    except InconsistentCountsError:
-        return None
 
 
 def counts_to_degree_list(counts: Sequence[int]) -> tuple[int, ...]:
@@ -141,11 +132,7 @@ def phi_diff_residual(diffs: Sequence[int], n: int, k: int, j: int) -> int:
     _check_ranges(n, k, j)
     if len(diffs) != n:
         raise ValueError(f"expected {n} difference entries, got {len(diffs)}")
-    l = n - k
-    return sum(
-        diffs[i] * binom(i, j) * binom(n - 1 - i, k - 1 - j)
-        for i in range(j, j + l + 1)
-    )
+    return _identity_sum(diffs, n, k, j, j)
 
 
 def incident_edge_lower_bound(t: int, s: int) -> int:

@@ -1,8 +1,10 @@
 """Shared test helpers: random graphs, relabelings, reference oracles."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
+from deckcensus import canon
+from deckcensus.census import GraphFamily
 from deckcensus.graphs import Graph
 
 # Published counts of n-vertex graphs up to isomorphism.  Used only as an
@@ -32,6 +34,22 @@ def graph6_bits(g: Graph, order) -> tuple[int, ...]:
 def brute_force_min_bits(g: Graph) -> tuple[int, ...]:
     """Reference canonical form: minimum bit sequence over all n! orders."""
     return min(graph6_bits(g, p) for p in permutations(range(g.n)))
+
+
+def brute_force_family(n: int) -> GraphFamily:
+    """Reference enumerator: deduplicate all 2^C(n,2) edge subsets (n <= 6)."""
+    if not 1 <= n <= 6:
+        raise ValueError(f"brute-force enumeration is restricted to n <= 6, got {n}")
+    pairs = list(combinations(range(n), 2))
+    keys = set()
+    for mask in range(1 << len(pairs)):
+        rows = [0] * n
+        for bit, (u, v) in enumerate(pairs):
+            if mask >> bit & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        keys.add(canon._key_for_rows(n, tuple(rows)))
+    return GraphFamily(n, tuple(sorted(keys)))
 
 
 def brute_force_isomorphic(a: Graph, b: Graph) -> bool:

@@ -10,12 +10,7 @@ import time
 from math import comb
 
 from deckcensus.canon import canonical_key
-from deckcensus.census import (
-    brute_force_family,
-    deck_classes,
-    enumerate_graphs,
-    verify_invariant,
-)
+from deckcensus.census import deck_classes, enumerate_graphs, verify_invariant
 from deckcensus.counting import (
     deck_difference,
     phi_diff_residual,
@@ -40,6 +35,8 @@ from deckcensus.graphs import (
     named_graph,
     path_graph,
 )
+
+from .helpers import brute_force_family
 
 CRITERIA = {
     1: "golden 3-deck of C5+K1 and equality with the doubly subdivided claw",

@@ -11,7 +11,6 @@ from deckcensus.canon import canonical_key
 from deckcensus.census import (
     CensusCache,
     Connectedness,
-    brute_force_family,
     deck_classes,
     decide_connectedness,
     emit_report,
@@ -35,7 +34,7 @@ from deckcensus.graphs import (
     to_graph6,
 )
 
-from .helpers import KNOWN_GRAPH_COUNTS, permuted
+from .helpers import KNOWN_GRAPH_COUNTS, brute_force_family, permuted
 
 C5K1_KEY = canonical_key(named_graph("cycle5+empty1"))
 KPP_KEY = canonical_key(claw_subdivided(2))
@@ -350,9 +349,14 @@ def test_known_pairs():
     }
 
     assert len(known_pairs(4)) == 1
-    assert len(known_pairs(2, include_claw_pairs=True)) == 3
     with pytest.raises(ValueError):
         known_pairs(5)
+    # every pair is non-isomorphic and shares its deck of l-vertex cards
+    for l in (2, 3, 4):
+        for g, h, k in known_pairs(l):
+            assert k == l
+            assert canonical_key(g) != canonical_key(h)
+            assert deck_equal(compute_deck(g, k), compute_deck(h, k))
 
 
 def test_cache_roundtrip(tmp_path, family5):

@@ -1,8 +1,11 @@
 """CLI surface: flag grammar, exit statuses, deterministic output."""
 
+import argparse
 import concurrent.futures
 import io
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +21,60 @@ SUBCOMMANDS = (
     "reconstructions", "rho", "pairs", "threshold",
 )
 
+CENSUS_OPTIONS = ("-n", "-k", "--enable-n9", "--cache-dir", "--jobs", "--format")
+DECK_INPUT = ("--g6", "--named", "--deck", "-k")
+OPTIONS = {
+    "deck": ("--g6", "--named", "--file", "-k", "--format"),
+    "compare": ("--g6a", "--nameda", "--g6b", "--namedb", "-k"),
+    "subdeck": (*DECK_INPUT, "--steps"),
+    "degrees": (*DECK_INPUT, "--high", "--format"),
+    "phi": ("--g6", "--named", "-k", "--format"),
+    "classes": CENSUS_OPTIONS,
+    "verify": (*CENSUS_OPTIONS, "--invariant"),
+    "reconstructions": (*DECK_INPUT, "--cache-dir", "--jobs", "--format"),
+    "rho": ("--g6", "--named", "--cache-dir"),
+    "pairs": ("-l",),
+    "threshold": ("-l",),
+}
+
 
 def run(argv):
     out = io.StringIO()
     status = cli.dispatch(argv, out=out)
     return status, out.getvalue()
+
+
+def option_strings(command):
+    """The option strings of ``command`` in the built parser, without -h."""
+    [sub] = (action for action in cli._build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction))
+    return sorted(flag for action in sub.choices[command]._actions
+                  for flag in action.option_strings if flag not in ("-h", "--help"))
+
+
+def test_option_strings_are_pinned():
+    for command in SUBCOMMANDS:
+        assert option_strings(command) == sorted(OPTIONS[command]), command
+    assert sum(len(flags) for flags in OPTIONS.values()) == 50
+
+
+def test_readme_commands_run(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) >= len(SUBCOMMANDS)
+    for line in lines:
+        command_text, _, comment = line.partition("#")
+        program, *argv = shlex.split(command_text)
+        assert program == "deckcensus"
+        if "--cache-dir" in option_strings(argv[0]):
+            argv += ["--cache-dir", str(tmp_path)]
+        status, text = run(argv)
+        assert status == 0, line
+        # a one-word comment is the value the output shows
+        if len(comment.split()) == 1:
+            assert comment.strip() in text, line
 
 
 def test_compare_sharpness_pair():
@@ -159,8 +211,6 @@ def test_pairs_output():
     assert all(line.endswith("\tEQUAL") for line in lines)
     status, text = run(["pairs", "-l", "2"])
     assert len(text.splitlines()) == 1
-    status, text = run(["pairs", "-l", "2", "--claw-pairs"])
-    assert len(text.splitlines()) == 3
 
 
 def test_threshold_output():
@@ -317,7 +367,10 @@ def test_order_ceiling_is_usage_error(capsys):
     for argv in (["reconstructions", "--named", "path4", "-k", "3", "-n", "4"],
                  ["reconstructions", "--named", "path4", "-k", "3", "--enable-n9"],
                  ["rho", "--named", "path4", "--enable-n9"],
-                 ["rho", "--named", "path4", "--jobs", "1"]):
+                 ["rho", "--named", "path4", "--jobs", "1"],
+                 ["pairs", "-l", "2", "--claw-pairs"],
+                 ["phi", "--file", "F", "-k", "3"],
+                 ["rho", "--file", "F"]):
         with pytest.raises(SystemExit) as err:
             cli.dispatch(argv)
         assert err.value.code == 2  # the option does not exist

@@ -15,11 +15,11 @@ from deckcensus.counting import (
     phi_diff_residual,
     phi_formula,
     reconstruct_degree_list,
-    reconstruct_with_zero_high,
 )
 from deckcensus.decks import compute_deck, phi_vector
 from deckcensus.graphs import (
     claw_subdivided,
+    complete_graph,
     degree_counts,
     degree_list,
     named_graph,
@@ -108,12 +108,12 @@ def test_reconstruct_rejects_impossible_high_counts():
         reconstruct_degree_list(deck, 7, {i: 0 for i in range(3, 7)})
 
 
-def test_reconstruct_with_zero_high_reports_consistency():
-    assert reconstruct_with_zero_high(compute_deck(C5K1, 3), 6) == (1, 0, 5, 0, 0, 0)
+def test_reconstruct_with_zero_high_counts():
+    zeros = {3: 0, 4: 0, 5: 0}
+    assert reconstruct_degree_list(compute_deck(C5K1, 3), 6, zeros) == (1, 0, 5, 0, 0, 0)
     # K4's 3-deck forces negative low counts once the high ones are zeroed
-    from deckcensus.graphs import complete_graph
-
-    assert reconstruct_with_zero_high(compute_deck(complete_graph(4), 3), 4) is None
+    with pytest.raises(InconsistentCountsError):
+        reconstruct_degree_list(compute_deck(complete_graph(4), 3), 4, {3: 0})
 
 
 def test_deck_difference_goldens():
