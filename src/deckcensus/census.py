@@ -33,7 +33,7 @@ from . import canon
 from .counting import phi_formula
 from .decks import Deck, compute_deck, deck_equal, phi_vector
 from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
-from .decks import _key_is_connected, _sibling_tallies, _triangles_of_key
+from .decks import _deck_tally, _key_is_connected, _triangles_of_key
 from .decks import edge_count_from_deck  # noqa: F401 (perfbench/tracing.py binds it)
 from .graphs import (
     _REVERSED,
@@ -205,11 +205,14 @@ def enumerate_graphs(
 def _deck_chunk(
     keys: Sequence[str], k: int
 ) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    """Each member's sorted k-deck entries.  Siblings (members with the
-    same first n-1 vertices) are contiguous in a sorted family, so they
-    share their parent's cards (see ``decks._sibling_tallies``)."""
-    tallies = _sibling_tallies((_graph_of_key(key) for key in keys), k)
-    return [(key, tuple(sorted(tally.items()))) for key, tally in zip(keys, tallies)]
+    """Each member's sorted k-deck entries, by the same card walk as
+    ``compute_deck``.  Siblings (members with the same first n-1
+    vertices) are contiguous in a sorted family, so each run of them
+    walks its parent once (see ``decks._deck_tally``)."""
+    return [
+        (key, tuple(sorted(_deck_tally(_graph_of_key(key).rows, k).items())))
+        for key in keys
+    ]
 
 
 def deck_classes(
@@ -325,16 +328,11 @@ def _members_by_counts(members: tuple[str, ...]) -> dict[tuple[int, ...], list[i
     return groups
 
 
-def find_reconstructions(
-    deck: Deck,
-    n: int,
-    family: GraphFamily | None = None,
-    jobs: int = 1,
-    cache: "CensusCache | None" = None,
-) -> tuple[str, ...]:
-    """Canonical keys of every n-vertex graph whose k-deck equals ``deck``.
+def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
+    """Canonical keys of every member of ``family`` whose k-deck equals
+    ``deck``, which must have the family's order.
 
-    An empty result means no graph realizes the deck.  By Kelly's lemma
+    An empty result means no member realizes the deck.  By Kelly's lemma
     the deck fixes the count of every induced subgraph on at most k
     vertices, so two counts read off it once screen the family exactly:
 
@@ -350,13 +348,10 @@ def find_reconstructions(
     and has its deck built and compared.  Both screens are implied by
     deck equality, so they never change the result.
     """
+    n = family.order
     if deck.origin_order != n:
         raise ValueError(f"deck has origin order {deck.origin_order}, expected {n}")
-    if n > DEFAULT_CENSUS_CEILING:
-        raise ValueError(f"realization search is capped at n={DEFAULT_CENSUS_CEILING}")
     k = deck.card_size
-    if family is None:
-        family = enumerate_graphs(n, jobs=jobs, cache=cache)
     phi = phi_vector(deck)
     triangles = None
     if k >= 3:
@@ -378,17 +373,13 @@ def find_reconstructions(
     return tuple(members[i] for i in sorted(found))
 
 
-def decide_connectedness(
-    deck: Deck,
-    n: int,
-    family: GraphFamily | None = None,
-    cache: "CensusCache | None" = None,
-) -> Connectedness:
-    """Consensus connectedness over all realizations of ``deck``."""
-    keys = find_reconstructions(deck, n, family=family, cache=cache)
+def decide_connectedness(deck: Deck, family: GraphFamily) -> Connectedness:
+    """Consensus connectedness over all realizations of ``deck`` in ``family``."""
+    keys = find_reconstructions(deck, family)
     if not keys:
         raise UnrealizableDeckError(
-            f"unrealizable deck: no {n}-vertex graph has this {deck.card_size}-deck"
+            f"unrealizable deck: no {family.order}-vertex graph has this "
+            f"{deck.card_size}-deck"
         )
     verdicts = {_key_is_connected(key) for key in keys}
     if len(verdicts) == 2:
@@ -396,24 +387,17 @@ def decide_connectedness(
     return Connectedness.CONNECTED if verdicts.pop() else Connectedness.DISCONNECTED
 
 
-def reconstructibility_number(
-    g: Graph,
-    family: GraphFamily | None = None,
-    cache: "CensusCache | None" = None,
-) -> int:
+def reconstructibility_number(g: Graph, family: GraphFamily) -> int:
     """Largest l such that all decks of cards missing at most l vertices
-    single out ``g`` within the full n-vertex family.
+    single out ``g`` within ``family``, which must have ``g``'s order.
 
     Returns 0 when even the deck missing one vertex is shared.
     """
     n = g.n
-    if n > DEFAULT_CENSUS_CEILING:
-        raise ValueError(f"reconstructibility is capped at n={DEFAULT_CENSUS_CEILING}")
-    if family is None:
-        family = enumerate_graphs(n, cache=cache)
+    if n != family.order:
+        raise ValueError(f"graph has order {n}, expected {family.order}")
     for l in range(1, n):
-        k = n - l
-        matches = find_reconstructions(compute_deck(g, k), n, family=family)
+        matches = find_reconstructions(compute_deck(g, n - l), family)
         if len(matches) > 1:
             return l - 1
     return n - 1

@@ -35,16 +35,22 @@ def _load_graphs(args, suffix: str = "") -> list[graphs.Graph]:
     return found
 
 
-def _jobs(text: str) -> int:
-    """``--jobs`` value: a worker count in [1, number of CPUs]."""
-    ceiling = os.cpu_count() or 1
+def _int_in(text: str, low: int, high: int | None = None) -> int:
+    """An int option value in [low, high], or at least ``low`` when
+    ``high`` is None; anything else is a usage error."""
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= jobs <= ceiling:
-        raise argparse.ArgumentTypeError(f"must be in [1, {ceiling}], got {jobs}")
-    return jobs
+    if value < low or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    """``--jobs`` value: a worker count in [1, number of CPUs]."""
+    return _int_in(text, 1, os.cpu_count() or 1)
 
 
 def _deck_from_args(args, parser: argparse.ArgumentParser) -> decks.Deck:
@@ -96,8 +102,6 @@ def _run_compare(args, parser, out) -> None:
 
 def _run_subdeck(args, parser, out) -> None:
     deck = _deck_from_args(args, parser)
-    if args.steps < 1:
-        parser.error("--steps must be at least 1")
     for _ in range(args.steps):
         deck = decks.derive_subdeck(deck)
     out.write(decks.serialize_deck(deck))
@@ -160,8 +164,10 @@ def _run_reconstructions(args, parser, out) -> None:
     deck = _deck_from_args(args, parser)
     n = deck.origin_order
     _guard_ceiling(n, "realization search", parser)
-    cache = census.CensusCache(args.cache_dir)
-    keys = census.find_reconstructions(deck, n, jobs=args.jobs, cache=cache)
+    family = census.enumerate_graphs(
+        n, jobs=args.jobs, cache=census.CensusCache(args.cache_dir)
+    )
+    keys = census.find_reconstructions(deck, family)
     if args.format == "summary":
         out.write(f"n={n} k={deck.card_size} reconstructions={len(keys)}\n")
     for key in keys:
@@ -171,8 +177,8 @@ def _run_reconstructions(args, parser, out) -> None:
 def _run_rho(args, parser, out) -> None:
     [g] = _load_graphs(args)
     _guard_ceiling(g.n, "reconstructibility", parser)
-    cache = census.CensusCache(args.cache_dir)
-    out.write(f"{census.reconstructibility_number(g, cache=cache)}\n")
+    family = census.enumerate_graphs(g.n, cache=census.CensusCache(args.cache_dir))
+    out.write(f"{census.reconstructibility_number(g, family)}\n")
 
 
 def _run_pairs(args, parser, out) -> None:
@@ -225,7 +231,7 @@ _COMMANDS = (
         [("--g6b", _G6), ("--namedb", _NAMED)], _K)),
     ("subdeck", _run_subdeck, "derive the (k-1)-deck from a k-deck", (
         *_DECK_INPUT,
-        ("--steps", {"type": int, "default": 1,
+        ("--steps", {"type": functools.partial(_int_in, low=1), "default": 1,
                      "help": "how many derivation steps (default: 1)"}))),
     ("degrees", _run_degrees, "recover a degree list from a k-deck", (
         *_DECK_INPUT,
@@ -246,10 +252,10 @@ _COMMANDS = (
     ("rho", _run_rho, "reconstructibility number of a graph (order <= 8)",
      (_GRAPH, _CACHE_DIR)),
     ("pairs", _run_pairs, "known deck-equal pairs for a card size l", (
-        ("-l", {"type": int, "required": True,
+        ("-l", {"type": functools.partial(_int_in, low=2, high=4), "required": True,
                 "help": "card size of the shared deck (2..4)"}),)),
     ("threshold", _run_threshold, "degree-list recovery order threshold g(l)", (
-        ("-l", {"type": int, "required": True,
+        ("-l", {"type": functools.partial(_int_in, low=3), "required": True,
                 "help": "deleted-vertex count (>= 3)"}),)),
 )
 

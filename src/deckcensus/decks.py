@@ -6,15 +6,15 @@ integers throughout; the only place the module tolerates division is
 the sub-deck law, where non-divisibility is diagnostic of a deck no
 graph realizes.
 
-Cards are extracted by prefix-sharing recursion over vertex subsets:
-each added vertex shifts its column against the chosen prefix into the
-labeled upper-triangle bits, so every card's bits come out without
-building its rows.  Those bits are the key of the canonical-key memo
-(``canon._memo``), which is probed inline; only on a miss are the
-card's rows decoded from its bits and handed to ``canon._key_for_rows``.
-A census shares more: graphs with the same first n-1 vertices share
-that parent's cards, and each adds only the cards through its last
-vertex (:func:`_sibling_tallies`).
+Cards come from one walk that adds a graph's vertices one at a time:
+vertex v turns each (j-1)-card S on range(v) into the j-card S + {v},
+whose labeled upper-triangle bits are S's bits followed by v's column
+against S, read from a gather table.  Those bits are the key of the
+canonical-key memo (``canon._memo``), which is probed inline; only on a
+miss are the card's rows decoded from its bits and handed to
+``canon._key_for_rows``.  A graph's k-cards are its parent's (the graph
+on its first n-1 vertices) plus the last vertex's step, and the last
+parent walked is kept, so graphs with the same parent walk it once.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .canon import _key_for_rows, _memo
-from .graphs import Graph, _rows_from_bits, _triangle_bits, degree_counts
+from .graphs import Graph, _rows_from_bits, degree_counts
 from .graphs import from_graph6, is_connected
 
 
@@ -111,41 +111,6 @@ def _triangles_of_key(key: str) -> int:
     return sum((g.rows[u] & g.rows[v]).bit_count() for u, v in g.edges()) // 3
 
 
-def _card_bits(rows: Sequence[int], k: int) -> list[int]:
-    """Memo keys of the C(n, k) induced k-vertex cards of the graph with
-    adjacency ``rows`` (n = len(rows)), in lexicographic order of their
-    vertex sets.  Only the bits of vertices below n are read."""
-    n = len(rows)
-    if k < 2:
-        # no pairs: every card's key is the bare leading 1
-        return [1] * comb(n, k)
-    out: list[int] = []
-    append = out.append
-    last = k - 1
-
-    def extend(depth: int, start: int, bits: int, cols: list[int]) -> None:
-        # Fill card position ``depth`` with each v >= start.  ``bits`` is
-        # the memo key of the card on the vertices placed so far;
-        # ``cols[i]`` is the column of vertex start + i against them,
-        # first vertex most significant.
-        for i in range(n - last + depth - start):
-            v = start + i
-            rv = rows[v]
-            prefix = bits << depth | cols[i]
-            if depth + 1 < last:
-                extend(depth + 1, v + 1, prefix, [
-                    c << 1 | (rv >> u & 1) for u, c in enumerate(cols[i + 1:], v + 1)
-                ])
-                continue
-            # placing the last vertex at w completes a card
-            prefix <<= last
-            for w, c in enumerate(cols[i + 1:], v + 1):
-                append(prefix | c << 1 | (rv >> w & 1))
-
-    extend(0, 0, 1, [0] * n)
-    return out
-
-
 def _tally_cards(k: int, card_bits: Iterable[int], tally: dict[str, int],
                  mult: int) -> None:
     """Add ``mult`` to ``tally[key]`` for each k-card memo key in
@@ -160,60 +125,69 @@ def _tally_cards(k: int, card_bits: Iterable[int], tally: dict[str, int],
 
 @lru_cache(maxsize=None)
 def _gather_tables(m: int, size: int) -> tuple[list[int], ...]:
-    """One table per size-subset S of range(m), in the order of
-    :func:`_card_bits`: ``table[row]`` is the bits of ``row`` on S, first
-    vertex of S most significant, that is the column of a vertex with
-    neighbourhood ``row`` against S."""
+    """One table per size-subset S of range(m), in colex order (the order
+    of the walk's levels): ``table[row]`` is the bits of ``row`` on S,
+    first vertex of S most significant, that is the column of a vertex
+    with neighbourhood ``row`` against S."""
+    subsets = sorted(combinations(range(m), size), key=lambda s: s[::-1])
     return tuple(
         [sum((row >> v & 1) << (size - 1 - i) for i, v in enumerate(subset))
          for row in range(1 << m)]
-        for subset in combinations(range(m), size)
+        for subset in subsets
     )
 
 
-def _sibling_tallies(graphs: Iterable[Graph], k: int) -> Iterator[dict[str, int]]:
-    """The k-deck entries of each graph in turn, as fresh dicts.
+def _extend(cards: list[int], size: int, v: int, row: int) -> list[int]:
+    """The step of the walk: memo keys of the cards S + {v}, for the
+    size-vertex cards S on range(v) whose keys ``cards`` lists in colex
+    order, v having neighbourhood ``row``."""
+    row &= (1 << v) - 1
+    tables = _gather_tables(v, size)
+    return [bits << size | table[row] for bits, table in zip(cards, tables)]
 
-    A k-card of an n-vertex graph either avoids its last vertex n-1, and
-    is then a k-card of its parent P (the graph on its first n-1
-    vertices), or is S + {n-1} for a (k-1)-subset S of P's vertices, with
-    memo key ``bits(P[S]) << (k-1) | gather_S(row[n-1])``.  Consecutive
-    graphs with the same parent (the same first C(n-1, 2) triangle bits)
-    form a run: the parent's k-card tally and the keys of its (k-1)-cards
-    are computed once per run, and each graph then adds only its
-    C(n-1, k-1) cards through vertex n-1, one table lookup and one memo
-    probe each.  Only equal parent bits are shared, so the result does
-    not depend on the order or labelling of ``graphs``.
-    """
-    run = None
-    for g in graphs:
-        if not 1 <= k <= g.n:
-            raise ValueError(f"card size {k} out of range for n={g.n}")
-        parent = g.rows[:-1]
-        m = g.n - 1
-        # the order too, since orders 0 and 1 both have no triangle bits
-        parent_bits = (m, _triangle_bits(parent))
-        if parent_bits != run:
-            run = parent_bits
-            base: dict[str, int] = {}
-            _tally_cards(k, _card_bits(parent, k), base, 1)
-            through = list(zip(
-                [bits << (k - 1) for bits in _card_bits(parent, k - 1)],
-                _gather_tables(m, k - 1),
-            ))
-        tally = base.copy()
-        row = g.rows[-1]
-        _tally_cards(k, [high | table[row] for high, table in through], tally, 1)
-        yield tally
+
+def _card_levels(rows: Sequence[int], k: int, low: int) -> list[list[int]]:
+    """``levels[j]`` lists the memo keys of the j-vertex cards of the graph
+    with adjacency ``rows`` in colex order of their vertex sets, for
+    low <= j <= k.  Vertex v appends to level j the step from level j-1;
+    a level too small to reach ``low`` with the vertices still to come
+    stops growing, so levels below ``low`` come out incomplete."""
+    n = len(rows)
+    levels = [[1]] + [[] for _ in range(k)]
+    for v, row in enumerate(rows):
+        for j in range(min(k, v + 1), max(0, low - n + v), -1):
+            levels[j] += _extend(levels[j - 1], j - 1, v, row)
+    return levels
+
+
+@lru_cache(maxsize=1)
+def _parent_cards(parent: tuple[int, ...], k: int) -> tuple[dict[str, int], list[int]]:
+    """The k-card tally and the (k-1)-card keys of ``parent``, kept for
+    the next call: a sorted family lists siblings (graphs with the same
+    first n-1 vertices) together, so a census walks each parent once."""
+    levels = _card_levels(parent, k, k - 1)
+    tally: dict[str, int] = {}
+    _tally_cards(k, levels[k], tally, 1)
+    return tally, levels[k - 1]
+
+
+def _deck_tally(rows: Sequence[int], k: int) -> dict[str, int]:
+    """The k-deck entries of the graph with adjacency ``rows``, as a
+    fresh dict: its parent's k-cards (those that avoid the last vertex),
+    plus the walk's step through the last vertex."""
+    n = len(rows)
+    low = (1 << (n - 1)) - 1
+    base, cards = _parent_cards(tuple(row & low for row in rows[:-1]), k)
+    tally = base.copy()
+    _tally_cards(k, _extend(cards, k - 1, n - 1, rows[-1]), tally, 1)
+    return tally
 
 
 def compute_deck(g: Graph, k: int) -> Deck:
     """The multiset of all C(n, k) induced k-vertex cards of ``g``."""
     if not 1 <= k <= g.n:
         raise ValueError(f"card size {k} out of range for n={g.n}")
-    entries: dict[str, int] = {}
-    _tally_cards(k, _card_bits(g.rows, k), entries, 1)
-    return Deck(k, g.n, entries)
+    return Deck(k, g.n, _deck_tally(g.rows, k))
 
 
 def deck_equal(a: Deck, b: Deck) -> bool:
@@ -239,7 +213,8 @@ def derive_subdeck(deck: Deck) -> Deck:
         raise ValueError("sub-deck derivation needs card size >= 2")
     acc: dict[str, int] = {}
     for key, mult in deck.entries.items():
-        _tally_cards(k - 1, _card_bits(_graph_of_key(key).rows, k - 1), acc, mult)
+        cards = _card_levels(_graph_of_key(key).rows, k - 1, k - 1)[k - 1]
+        _tally_cards(k - 1, cards, acc, mult)
     divisor = n - k + 1
     entries: dict[str, int] = {}
     for subkey, total in acc.items():

@@ -1,11 +1,12 @@
 """Shared test helpers: random graphs, relabelings, reference oracles."""
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 from deckcensus import canon
 from deckcensus.census import GraphFamily
-from deckcensus.graphs import Graph
+from deckcensus.graphs import Graph, induced_subgraph
 
 # Published counts of n-vertex graphs up to isomorphism.  Used only as an
 # external sanity cross-check; the in-repo dual enumerators are the oracle.
@@ -20,6 +21,15 @@ def random_graph(rng: random.Random, n: int) -> Graph:
 def permuted(g: Graph, perm) -> Graph:
     """Relabel: vertex v of ``g`` becomes perm[v]."""
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def induced_deck(g: Graph, k: int) -> Counter:
+    """Reference k-deck entries: the canonical key of each induced
+    k-vertex subgraph, one vertex subset at a time."""
+    return Counter(
+        canon.canonical_key(induced_subgraph(g, subset))
+        for subset in combinations(range(g.n), k)
+    )
 
 
 def graph6_bits(g: Graph, order) -> tuple[int, ...]:

@@ -7,7 +7,6 @@ in a few minutes on one core.
 """
 
 import time
-from math import comb
 
 from deckcensus.canon import canonical_key
 from deckcensus.census import deck_classes, enumerate_graphs, verify_invariant

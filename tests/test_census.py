@@ -25,16 +25,14 @@ from deckcensus.graphs import (
     claw_subdivided,
     complete_graph,
     cycle_graph,
-    degree_list,
     disjoint_union,
-    empty_graph,
     from_graph6,
     named_graph,
     path_graph,
     to_graph6,
 )
 
-from .helpers import KNOWN_GRAPH_COUNTS, brute_force_family, permuted
+from .helpers import KNOWN_GRAPH_COUNTS, brute_force_family, induced_deck, permuted
 
 C5K1_KEY = canonical_key(named_graph("cycle5+empty1"))
 KPP_KEY = canonical_key(claw_subdivided(2))
@@ -132,14 +130,29 @@ def test_deck_classes_jobs_parity(family6):
 
 
 def _oracle_entries(keys, k):
-    return [(key, compute_deck(from_graph6(key), k).sorted_entries()) for key in keys]
+    return [
+        (key, tuple(sorted(induced_deck(from_graph6(key), k).items()))) for key in keys
+    ]
 
 
-def test_census_decks_match_compute_deck(family5, family6, family7):
+def test_census_decks_match_induced_subgraph_oracle(family5, family6, family7):
     for family in (family5, family6, family7):
         for k in range(1, family.order + 1):
             keys = family.members
             assert census._deck_chunk(keys, k) == _oracle_entries(keys, k), k
+
+
+def test_census_decks_match_compute_deck(family5, family6, family7):
+    # the census keeps one parent's cards across members; a lone deck
+    # query must give the same tally for every member
+    for family in (family5, family6, family7):
+        for k in range(1, family.order + 1):
+            keys = family.members
+            lone = [
+                (key, compute_deck(from_graph6(key), k).sorted_entries())
+                for key in keys
+            ]
+            assert census._deck_chunk(keys, k) == lone, k
 
 
 def test_census_decks_do_not_need_sorted_or_canonical_members(family6):
@@ -235,7 +248,7 @@ def test_isomorphism_invariant_counts_shared_decks(family5):
 
 def test_find_reconstructions_exhaustive(family6):
     deck = compute_deck(named_graph("cycle5+empty1"), 3)
-    keys = find_reconstructions(deck, 6, family=family6)
+    keys = find_reconstructions(deck, family6)
     # three graphs realize this deck: the cycle plus isolated vertex and
     # two trees (the doubly subdivided claw and the spider with legs 3,1,1)
     assert C5K1_KEY in keys and KPP_KEY in keys
@@ -247,7 +260,7 @@ def test_find_reconstructions_always_contains_origin(family6):
     for key in family6.members[::25]:
         g = from_graph6(key)
         for k in (3, 4):
-            assert key in find_reconstructions(compute_deck(g, k), 6, family=family6)
+            assert key in find_reconstructions(compute_deck(g, k), family6)
 
 
 def _assert_matches_deck_classes(family, card_sizes, members):
@@ -259,7 +272,7 @@ def _assert_matches_deck_classes(family, card_sizes, members):
         }
         for key in members:
             deck = compute_deck(from_graph6(key), k)
-            found = find_reconstructions(deck, family.order, family=family)
+            found = find_reconstructions(deck, family)
             assert found == classes[key], (key, k)
 
 
@@ -271,34 +284,34 @@ def test_find_reconstructions_matches_deck_classes_n7(family7):
     _assert_matches_deck_classes(family7, range(3, 7), family7.members[::10])
 
 
-def test_find_reconstructions_simple_cases(family7):
+def test_find_reconstructions_simple_cases(family6, family7):
     deck = compute_deck(path_graph(7), 4)
-    assert find_reconstructions(deck, 7, family=family7) == (
-        canonical_key(path_graph(7)),
-    )
-    assert find_reconstructions(compute_deck(complete_graph(3), 2), 3) == (
+    assert find_reconstructions(deck, family7) == (canonical_key(path_graph(7)),)
+    triangle = compute_deck(complete_graph(3), 2)
+    assert find_reconstructions(triangle, enumerate_graphs(3)) == (
         canonical_key(complete_graph(3)),
     )
+    # a deck and a family of different orders
+    with pytest.raises(ValueError, match="origin order 7, expected 6"):
+        find_reconstructions(deck, family6)
 
 
-def test_decide_connectedness(family6, family7):
+def test_decide_connectedness(family5, family6, family7):
     assert (
-        decide_connectedness(compute_deck(path_graph(7), 4), 7, family=family7)
+        decide_connectedness(compute_deck(path_graph(7), 4), family7)
         is Connectedness.CONNECTED
     )
     assert (
-        decide_connectedness(
-            compute_deck(named_graph("cycle5+empty1"), 3), 6, family=family6
-        )
+        decide_connectedness(compute_deck(named_graph("cycle5+empty1"), 3), family6)
         is Connectedness.AMBIGUOUS
     )
     assert (
-        decide_connectedness(compute_deck(named_graph("cycle4+empty1"), 3), 5)
+        decide_connectedness(compute_deck(named_graph("cycle4+empty1"), 3), family5)
         is Connectedness.AMBIGUOUS
     )
     two_parts = disjoint_union(cycle_graph(4), cycle_graph(3))
     assert (
-        decide_connectedness(compute_deck(two_parts, 5), 7, family=family7)
+        decide_connectedness(compute_deck(two_parts, 5), family7)
         is Connectedness.DISCONNECTED
     )
 
@@ -309,19 +322,21 @@ def test_decide_connectedness_unrealizable(family5):
     # ten paths force 20/3 edges, so no 5-vertex graph realizes this deck
     fake = Deck(3, 5, {canonical_key(path_graph(3)): 10})
     with pytest.raises(UnrealizableDeckError, match="unrealizable deck"):
-        decide_connectedness(fake, 5, family=family5)
+        decide_connectedness(fake, family5)
     # K5 is the unique realization of the all-triangles deck
     full = Deck(3, 5, {canonical_key(complete_graph(3)): 10})
-    assert decide_connectedness(full, 5, family=family5) is Connectedness.CONNECTED
+    assert decide_connectedness(full, family5) is Connectedness.CONNECTED
 
 
 def test_reconstructibility_numbers(family5, family6):
-    assert reconstructibility_number(path_graph(6), family=family6) == 2
+    assert reconstructibility_number(path_graph(6), family6) == 2
     assert (
-        reconstructibility_number(named_graph("cycle4+empty1"), family=family5) == 1
+        reconstructibility_number(named_graph("cycle4+empty1"), family5) == 1
     )
     # the two 2-vertex graphs share their 1-deck
-    assert reconstructibility_number(path_graph(2)) == 0
+    assert reconstructibility_number(path_graph(2), enumerate_graphs(2)) == 0
+    with pytest.raises(ValueError, match="order 6, expected 5"):
+        reconstructibility_number(path_graph(6), family5)
 
 
 def test_known_pairs():

@@ -232,6 +232,12 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         cli.dispatch(["classes", "-n", "9", "-k", "7"])  # n=9 needs opt-in
     assert err.value.code == 2
+    # values outside the range an option declares
+    for argv in (["pairs", "-l", "1"], ["pairs", "-l", "5"], ["threshold", "-l", "2"],
+                 ["subdeck", "--named", "path4", "-k", "3", "--steps", "0"]):
+        with pytest.raises(SystemExit) as err:
+            cli.dispatch(argv)
+        assert err.value.code == 2, argv
 
 
 def test_jobs_out_of_range_is_usage_error(monkeypatch, tmp_path):

@@ -21,7 +21,6 @@ from deckcensus.graphs import (
     claw_subdivided,
     complete_graph,
     degree_counts,
-    degree_list,
     named_graph,
     path_graph,
 )

@@ -6,7 +6,6 @@ canonical labeling.
 """
 
 import random
-from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -19,7 +18,7 @@ from deckcensus.counting import binom
 from deckcensus.decks import (
     Deck,
     UnrealizableDeckError,
-    _sibling_tallies,
+    _deck_tally,
     _triangles_of_key,
     compute_deck,
     connected_card_count,
@@ -38,12 +37,11 @@ from deckcensus.graphs import (
     disjoint_union,
     empty_graph,
     from_graph6,
-    induced_subgraph,
     named_graph,
     path_graph,
 )
 
-from .helpers import permuted, random_graph
+from .helpers import induced_deck, permuted, random_graph
 
 
 def reference_deck_sizes(g: Graph, k: int) -> list[int]:
@@ -113,10 +111,7 @@ def test_cards_match_induced_subgraph_oracle():
         for _ in range(3):
             g = random_graph(rng, n)
             for k in range(1, n + 1):
-                oracle = Counter(
-                    canonical_key(induced_subgraph(g, subset))
-                    for subset in combinations(range(n), k)
-                )
+                oracle = induced_deck(g, k)
                 canon.clear_cache()
                 assert compute_deck(g, k).entries == oracle
                 assert compute_deck(g, k).entries == oracle
@@ -140,27 +135,27 @@ def test_clear_cache_is_transparent_for_decks():
     assert decks_and_subdecks() == warm
 
 
-def test_sibling_tallies_match_compute_deck_across_orders():
-    # consecutive graphs of different orders never share a parent, even
-    # where neither parent has a pair of vertices (orders 1 and 2)
+def test_deck_tally_matches_oracle_across_parents_and_card_sizes():
+    # siblings (the same first n-1 vertices) follow each other, so the
+    # kept parent is reused; orders 1 and 2 follow each other, although
+    # neither parent has a pair of vertices; and k changes between calls
+    # on one parent
     rng = random.Random(53)
-    for k in range(1, 5):
-        graphs = []
-        if k == 1:
-            graphs += [complete_graph(1), complete_graph(2), empty_graph(2)]
-        for _ in range(40):
-            n = rng.randint(max(k, 2), 7)
-            g = random_graph(rng, n)
-            graphs.append(g)
-            # a sibling: the same first n-1 vertices, another last row
-            edges = [e for e in g.edges() if e[1] < n - 1]
-            last = [(u, n - 1) for u in range(n - 1) if rng.random() < 0.5]
-            graphs.append(Graph(n, edges + last))
-        canon.clear_cache()
-        tallies = list(_sibling_tallies(graphs, k))
-        assert tallies == [compute_deck(g, k).entries for g in graphs], k
-    with pytest.raises(ValueError):
-        list(_sibling_tallies([K3], 4))
+    graphs = [complete_graph(1), complete_graph(2), empty_graph(2), complete_graph(1)]
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        g = random_graph(rng, n)
+        edges = [e for e in g.edges() if e[1] < n - 1]
+        last = [(u, n - 1) for u in range(n - 1) if rng.random() < 0.5]
+        graphs += [g, Graph(n, edges + last)]
+    canon.clear_cache()
+    for k in range(1, 8):
+        for g in graphs:
+            if k <= g.n:
+                assert _deck_tally(g.rows, k) == induced_deck(g, k), (g, k)
+    for g in graphs:
+        for k in rng.sample(range(1, g.n + 1), g.n):
+            assert _deck_tally(g.rows, k) == induced_deck(g, k), (g, k)
 
 
 def test_deck_is_relabeling_invariant():
