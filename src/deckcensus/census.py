@@ -33,7 +33,7 @@ from . import canon
 from .counting import phi_formula
 from .decks import Deck, compute_deck, deck_equal, phi_vector
 from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
-from .decks import _deck_tally, _key_is_connected, _triangles_of_key
+from .decks import _deck_tally, _key_is_connected, _triangles_of_key, entry_text
 from .decks import edge_count_from_deck  # noqa: F401 (perfbench/tracing.py binds it)
 from .graphs import (
     _REVERSED,
@@ -69,10 +69,9 @@ def _fnv128(data: bytes) -> int:
     return h
 
 
-def _class_label(entries: tuple[tuple[str, int], ...]) -> str:
-    """Hex FNV-1a digest of sorted ``key<TAB>mult`` lines."""
-    blob = "\n".join(f"{key}\t{mult}" for key, mult in entries).encode()
-    return f"{_fnv128(blob):032x}"
+def _class_label(text: str) -> str:
+    """Hex FNV-1a digest of a deck's ``decks.entry_text``."""
+    return f"{_fnv128(text.encode()):032x}"
 
 
 @dataclass(frozen=True)
@@ -202,15 +201,13 @@ def enumerate_graphs(
 # deck-class partition
 
 
-def _deck_chunk(
-    keys: Sequence[str], k: int
-) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    """Each member's sorted k-deck entries, by the same card walk as
-    ``compute_deck``.  Siblings (members with the same first n-1
+def _deck_chunk(keys: Sequence[str], k: int) -> list[tuple[str, str]]:
+    """Each member's k-deck as its ``entry_text``, by the same card walk
+    as ``compute_deck``.  Siblings (members with the same first n-1
     vertices) are contiguous in a sorted family, so each run of them
     walks its parent once (see ``decks._deck_tally``)."""
     return [
-        (key, tuple(sorted(_deck_tally(_graph_of_key(key).rows, k).items())))
+        (key, entry_text(_deck_tally(_graph_of_key(key).rows, k)))
         for key in keys
     ]
 
@@ -223,9 +220,9 @@ def deck_classes(
 ) -> ClassReport:
     """Partition ``family`` by k-deck.
 
-    Members are grouped by their full sorted deck entries, so two members
+    Members are grouped by the entry text of their decks, so two members
     share a class exactly when their decks are equal.  Each class is then
-    labeled with the FNV-1a digest of its entries, which only names it in
+    labeled with the FNV-1a digest of that text, which only names it in
     class TSVs and cache files: a (vanishingly unlikely) collision yields
     two classes that share a label, never a merged class.  (A class file
     names classes by label only, so a reload from ``cache`` would read
@@ -240,12 +237,12 @@ def deck_classes(
             return cached
     rows = _map_chunks(_deck_chunk, family.members, jobs, k)
 
-    by_entries: dict[tuple[tuple[str, int], ...], list[str]] = {}
-    for key, entries in rows:
-        by_entries.setdefault(entries, []).append(key)
+    by_text: dict[str, list[str]] = {}
+    for key, text in rows:
+        by_text.setdefault(text, []).append(key)
     classes = [
-        DeckClass(_class_label(entries), tuple(sorted(members)))
-        for entries, members in by_entries.items()
+        DeckClass(_class_label(text), tuple(sorted(members)))
+        for text, members in by_text.items()
     ]
     classes.sort()
     report = ClassReport(family.order, k, tuple(classes))

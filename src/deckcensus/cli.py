@@ -84,8 +84,7 @@ def _run_deck(args, parser, out) -> None:
         if multi:
             out.write(f"# {graphs.to_graph6(g)}\n")
         if args.format == "tsv":
-            for key, mult in deck.sorted_entries():
-                out.write(f"{key}\t{mult}\n")
+            out.write(decks.entry_text(deck.entries) + "\n")
         else:
             out.write(
                 f"n={deck.origin_order} k={deck.card_size} "
@@ -109,6 +108,7 @@ def _run_subdeck(args, parser, out) -> None:
 
 def _parse_high(text: str, k: int, n: int) -> dict[int, int]:
     counts = {i: 0 for i in range(k, n)}
+    given: set[int] = set()
     if text.strip():
         for item in text.split(","):
             degree_text, _, value_text = item.partition("=")
@@ -118,6 +118,9 @@ def _parse_high(text: str, k: int, n: int) -> dict[int, int]:
                 raise ValueError(f"bad --high item {item!r}; expected I=A") from None
             if degree not in counts:
                 raise ValueError(f"--high degree {degree} outside [{k}, {n - 1}]")
+            if degree in given:
+                raise ValueError(f"--high degree {degree} given twice")
+            given.add(degree)
             counts[degree] = value
     return counts
 

@@ -38,8 +38,8 @@ class Deck:
 
     ``entries`` maps the canonical key of each card class to its
     multiplicity.  A deck is its card size, origin order and entries:
-    equality and hashing use exactly those, and
-    :meth:`sorted_entries` is the hashable form of the entries.
+    equality uses exactly those, and :func:`entry_text` is the entries'
+    one text form.
     """
 
     __slots__ = ("card_size", "origin_order", "entries")
@@ -68,9 +68,6 @@ class Deck:
     def __setattr__(self, name, value):
         raise AttributeError("Deck is immutable")
 
-    def sorted_entries(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self.entries.items()))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Deck)
@@ -78,9 +75,6 @@ class Deck:
             and self.origin_order == other.origin_order
             and self.entries == other.entries
         )
-
-    def __hash__(self) -> int:
-        return hash((self.card_size, self.origin_order, self.sorted_entries()))
 
     def __repr__(self) -> str:
         return (
@@ -260,11 +254,16 @@ def connected_card_count(deck: Deck) -> int:
 # text serialization (census cache format)
 
 
+def entry_text(entries: Mapping[str, int]) -> str:
+    """Deck entries as ``key<TAB>mult`` lines sorted by key, joined by
+    newlines.  Graph6 keys hold no tab or newline, so two texts are equal
+    exactly when the entries are."""
+    return "\n".join(f"{key}\t{mult}" for key, mult in sorted(entries.items()))
+
+
 def serialize_deck(deck: Deck) -> str:
-    """Header line ``k=<k> n=<n>``, then ``key<TAB>mult`` lines sorted by key."""
-    lines = [f"k={deck.card_size} n={deck.origin_order}"]
-    lines += [f"{key}\t{mult}" for key, mult in deck.sorted_entries()]
-    return "\n".join(lines) + "\n"
+    """Header line ``k=<k> n=<n>``, then the :func:`entry_text` lines."""
+    return f"k={deck.card_size} n={deck.origin_order}\n{entry_text(deck.entries)}\n"
 
 
 def parse_deck(text: str) -> Deck:

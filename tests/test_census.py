@@ -2,6 +2,7 @@
 search over small families."""
 
 import concurrent.futures
+import io
 import random
 
 import pytest
@@ -20,7 +21,9 @@ from deckcensus.census import (
     reconstructibility_number,
     verify_invariant,
 )
+from deckcensus.cli import dispatch
 from deckcensus.decks import UnrealizableDeckError, compute_deck, deck_equal
+from deckcensus.decks import entry_text, serialize_deck
 from deckcensus.graphs import (
     claw_subdivided,
     complete_graph,
@@ -130,8 +133,12 @@ def test_deck_classes_jobs_parity(family6):
 
 
 def _oracle_entries(keys, k):
+    # built inline from the reference deck: the oracle does not share
+    # entry_text with the code it checks
     return [
-        (key, tuple(sorted(induced_deck(from_graph6(key), k).items()))) for key in keys
+        (key, "\n".join(f"{card}\t{mult}" for card, mult in
+                        sorted(induced_deck(from_graph6(key), k).items())))
+        for key in keys
     ]
 
 
@@ -149,7 +156,7 @@ def test_census_decks_match_compute_deck(family5, family6, family7):
         for k in range(1, family.order + 1):
             keys = family.members
             lone = [
-                (key, compute_deck(from_graph6(key), k).sorted_entries())
+                (key, entry_text(compute_deck(from_graph6(key), k).entries))
                 for key in keys
             ]
             assert census._deck_chunk(keys, k) == lone, k
@@ -197,7 +204,7 @@ def test_census_chunks_may_split_a_sibling_run(family7):
 
 def test_class_label_is_stable():
     def label(g):
-        return census._class_label(compute_deck(g, 3).sorted_entries())
+        return census._class_label(entry_text(compute_deck(g, 3).entries))
 
     a = label(named_graph("cycle5+empty1"))
     assert a == "003378c69d6f5c9ee228d1ac73aaec94"
@@ -207,9 +214,27 @@ def test_class_label_is_stable():
 
 
 def test_grouping_never_reads_the_label(monkeypatch, family6):
-    monkeypatch.setattr(census, "_class_label", lambda entries: "0" * 32)
+    monkeypatch.setattr(census, "_class_label", lambda text: "0" * 32)
     assert len(deck_classes(family6, 3).classes) == 112
     assert len(deck_classes(family6, 4).classes) == 156
+
+
+def test_entry_text_is_deck_identity(family6):
+    for k in (3, 4):
+        decks = [compute_deck(from_graph6(key), k) for key in family6.members]
+        texts = [entry_text(deck.entries) for deck in decks]
+        for i, (deck, text) in enumerate(zip(decks, texts)):
+            # the text does not depend on the order the entries were tallied
+            assert entry_text(dict(reversed(deck.entries.items()))) == text
+            assert serialize_deck(deck) == f"k={k} n=6\n{text}\n"
+            for other, other_text in zip(decks[i + 1:], texts[i + 1:]):
+                assert (text == other_text) == (deck == other), (k, i)
+        assert len(set(texts)) == len(deck_classes(family6, k).classes)
+        for key, text in list(zip(family6.members, texts))[::31]:
+            out = io.StringIO()
+            assert dispatch(["deck", "--g6", key, "-k", str(k), "--format", "tsv"],
+                            out=out) == 0
+            assert out.getvalue() == text + "\n"
 
 
 def test_n6_k4_classes_all_singletons(family6):

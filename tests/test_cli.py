@@ -174,9 +174,13 @@ def test_degrees_with_true_and_alternative_highs():
     assert text == "degrees=(3,2,2,1,1,1) counts=(0,3,2,1,0,0)\n"
 
 
-def test_degrees_inconsistent_is_domain_error():
+def test_degrees_inconsistent_is_domain_error(capsys):
     status, _ = run(["degrees", "--g6", C5K1_G6, "-k", "3", "--high", "5=1"])
     assert status == 1
+    # a degree given twice is refused, not read as its last value
+    status, text = run(["degrees", "--g6", C5K1_G6, "-k", "3", "--high", "3=1,3=0"])
+    assert (status, text) == (1, "")
+    assert "--high degree 3 given twice" in capsys.readouterr().err
 
 
 def test_phi_output():

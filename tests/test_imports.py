@@ -3,10 +3,13 @@
 No linter is installed, so this scans the source with ``ast``: a name
 bound by a module-level import must be read somewhere in its module.
 A package ``__init__`` imports to re-export and is skipped, and an
-import on a line marked ``# noqa: F401`` is kept on purpose.
+import on a line marked ``# noqa: F401`` is kept on purpose.  The
+benchmark's tracer patches names by module attribute, so every name it
+binds must also still exist.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +55,15 @@ def test_no_unused_imports_in_src_and_tests():
         and (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def test_every_traced_binding_exists():
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    table = tracing.bindings()
+    assert len(table) > 30
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in table
+               if attr not in vars(owner)]
+    assert missing == []
