@@ -43,7 +43,8 @@ from __future__ import annotations
 from .graphs import Graph, _g6_from_bits, _triangle_bits, from_graph6
 
 # Keys of graphs this small are memoized; larger graphs (census
-# enumeration, opt-in n=9 work) would mostly miss and only bloat memory.
+# enumeration, the n = 9 census's 274668 members) would mostly miss and
+# only bloat memory.
 _MEMO_MAX_N = 7
 
 _memo: dict[int, str] = {}

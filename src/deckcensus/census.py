@@ -48,12 +48,12 @@ from .graphs import (
     path_graph,
 )
 
-MAX_CENSUS_ORDER = 9
-DEFAULT_CENSUS_CEILING = 8
-
 # Published counts of n-vertex graphs up to isomorphism (OEIS A000088),
 # n = 1..MAX_CENSUS_ORDER; a cached family of any other size is rejected.
 GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
+
+# The only order bound: the orders whose family size a reload can check.
+MAX_CENSUS_ORDER = len(GRAPH_COUNTS)
 
 # FNV-1a, 128-bit variant: a stable, non-cryptographic label for a deck
 # class in class TSVs and cache files.  Grouping never reads it.

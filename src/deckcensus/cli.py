@@ -55,26 +55,13 @@ def _jobs(text: str) -> int:
 
 def _deck_from_args(args, parser: argparse.ArgumentParser) -> decks.Deck:
     if args.deck is not None:
+        if args.k is not None:
+            parser.error("-k cannot be used with --deck: the deck file's header gives k")
         return decks.parse_deck(Path(args.deck).read_text())
     if args.k is None:
         parser.error("-k is required with --g6/--named input")
     [g] = _load_graphs(args)
     return decks.compute_deck(g, args.k)
-
-
-def _guard_order(args, parser: argparse.ArgumentParser) -> None:
-    ceiling = census.MAX_CENSUS_ORDER if args.enable_n9 else census.DEFAULT_CENSUS_CEILING
-    if not 1 <= args.n <= ceiling:
-        parser.error(
-            f"-n must be in [1, {ceiling}]"
-            + ("" if args.enable_n9 else " (pass --enable-n9 to go to 9)")
-        )
-
-
-def _guard_ceiling(n: int, what: str, parser: argparse.ArgumentParser) -> None:
-    ceiling = census.DEFAULT_CENSUS_CEILING
-    if n > ceiling:
-        parser.error(f"{what} is capped at n={ceiling}, got n={n}")
 
 
 def _run_deck(args, parser, out) -> None:
@@ -154,7 +141,6 @@ def _run_phi(args, parser, out) -> None:
 
 def _run_census(args, parser, out) -> None:
     """``classes``, and ``verify``, which checks an invariant on its classes."""
-    _guard_order(args, parser)
     cache = census.CensusCache(args.cache_dir)
     family = census.enumerate_graphs(args.n, jobs=args.jobs, cache=cache)
     report = census.deck_classes(family, args.k, jobs=args.jobs, cache=cache)
@@ -166,7 +152,6 @@ def _run_census(args, parser, out) -> None:
 def _run_reconstructions(args, parser, out) -> None:
     deck = _deck_from_args(args, parser)
     n = deck.origin_order
-    _guard_ceiling(n, "realization search", parser)
     family = census.enumerate_graphs(
         n, jobs=args.jobs, cache=census.CensusCache(args.cache_dir)
     )
@@ -179,7 +164,6 @@ def _run_reconstructions(args, parser, out) -> None:
 
 def _run_rho(args, parser, out) -> None:
     [g] = _load_graphs(args)
-    _guard_ceiling(g.n, "reconstructibility", parser)
     family = census.enumerate_graphs(g.n, cache=census.CensusCache(args.cache_dir))
     out.write(f"{census.reconstructibility_number(g, family)}\n")
 
@@ -204,7 +188,7 @@ _DECK_INPUT = (
     [*_GRAPH, ("--deck", {"metavar": "PATH", "help": "deck file "
                           "(header 'k=<k> n=<n>', then key<TAB>mult)"})],
     ("-k", {"type": int, "help": "card size of the source deck "
-            "(required with --g6/--named)"}),
+            "(required with --g6/--named; a deck file's header gives k)"}),
 )
 _K = ("-k", {"type": int, "required": True, "help": "card size"})
 _FORMAT = ("--format", {"choices": ("summary", "tsv"), "default": "summary",
@@ -216,11 +200,12 @@ _JOBS = ("--jobs", {"type": _jobs, "default": 1, "metavar": "N",
                     "help": "worker processes, at most the number of CPUs; "
                     "results are identical for any N"})
 _CENSUS_ORDER = (
-    ("-n", {"type": int, "required": True,
-            "help": "graph order (<= 8, or 9 with --enable-n9)"}),
+    ("-n", {"type": functools.partial(_int_in, low=1, high=census.MAX_CENSUS_ORDER),
+            "required": True,
+            "help": f"graph order in [1, {census.MAX_CENSUS_ORDER}]; the first "
+            f"n=9 run enumerates all {census.GRAPH_COUNTS[-1]} graphs (minutes), "
+            "later runs read the cache"}),
     _K,
-    ("--enable-n9", {"action": "store_true",
-                     "help": "allow the n=9 census (large; minutes to hours)"}),
 )
 
 # One row per subcommand: (name, handler, help, arguments).
@@ -250,9 +235,9 @@ _COMMANDS = (
         ("--invariant", {"required": True, "choices": census.INVARIANTS}),
         _CACHE_DIR, _JOBS, _FORMAT)),
     ("reconstructions", _run_reconstructions,
-     "all graphs of the deck's order realizing a deck (order <= 8)",
+     "all graphs of the deck's order realizing a deck",
      (*_DECK_INPUT, _CACHE_DIR, _JOBS, _FORMAT)),
-    ("rho", _run_rho, "reconstructibility number of a graph (order <= 8)",
+    ("rho", _run_rho, "reconstructibility number of a graph",
      (_GRAPH, _CACHE_DIR)),
     ("pairs", _run_pairs, "known deck-equal pairs for a card size l", (
         ("-l", {"type": functools.partial(_int_in, low=2, high=4), "required": True,

@@ -83,7 +83,10 @@ class Deck:
         )
 
 
-@lru_cache(maxsize=None)
+# Room for every graph on at most 8 vertices (13598 keys, the A000088
+# counts summed), so no n <= 8 workload evicts anything, while an n = 9
+# census streams past the cache instead of keeping its family decoded.
+@lru_cache(maxsize=1 << 14)
 def _graph_of_key(key: str) -> Graph:
     return from_graph6(key)
 

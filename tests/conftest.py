@@ -1,6 +1,27 @@
+import sys
+
 import pytest
 
 from deckcensus.census import enumerate_graphs
+
+
+@pytest.fixture(autouse=True)
+def no_nine_vertex_enumeration(monkeypatch):
+    """Fail at once on any n = 9 enumeration: all 274668 graphs take
+    minutes, and any census or query command with order 9 reaches it.
+    Patched wherever the function is bound, including test modules that
+    imported it by name (this module among them)."""
+    real = enumerate_graphs
+
+    def guarded(n, *args, **kwargs):
+        if n == 9:
+            raise AssertionError("a test enumerated all graphs on 9 vertices")
+        return real(n, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] in ("deckcensus", "tests")
+                and getattr(module, "enumerate_graphs", None) is real):
+            monkeypatch.setattr(module, "enumerate_graphs", guarded)
 
 
 @pytest.fixture(scope="session")

@@ -55,6 +55,23 @@ def test_family_sizes_match_published_sequence(family5, family6, family7):
     assert len(family7) == 1044
 
 
+def test_order_bound_is_the_published_counts():
+    assert census.MAX_CENSUS_ORDER == len(census.GRAPH_COUNTS)
+    assert census.GRAPH_COUNTS == KNOWN_GRAPH_COUNTS[1:]
+
+
+def test_no_test_enumerates_nine_vertices(monkeypatch, tmp_path):
+    # the conftest guard: n = 9 fails at once, through the CLI too.  With
+    # the bound lowered, a missing guard fails fast instead of enumerating.
+    monkeypatch.setattr(census, "MAX_CENSUS_ORDER", 8)
+    for call in (lambda: census.enumerate_graphs(9), lambda: enumerate_graphs(9, jobs=2),
+                 lambda: dispatch(["classes", "-n", "9", "-k", "5",
+                                   "--cache-dir", str(tmp_path)])):
+        with pytest.raises(AssertionError, match="9 vertices"):
+            call()
+    assert not any(tmp_path.iterdir())
+
+
 def test_dual_enumerators_agree_up_to_5(family5):
     for n in range(1, 5):
         assert brute_force_family(n) == enumerate_graphs(n)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from deckcensus import cli
+from deckcensus import census, cli
 from deckcensus.canon import canonical_key
 from deckcensus.graphs import claw_subdivided, named_graph, to_graph6
 
@@ -21,7 +21,7 @@ SUBCOMMANDS = (
     "reconstructions", "rho", "pairs", "threshold",
 )
 
-CENSUS_OPTIONS = ("-n", "-k", "--enable-n9", "--cache-dir", "--jobs", "--format")
+CENSUS_OPTIONS = ("-n", "-k", "--cache-dir", "--jobs", "--format")
 DECK_INPUT = ("--g6", "--named", "--deck", "-k")
 OPTIONS = {
     "deck": ("--g6", "--named", "--file", "-k", "--format"),
@@ -55,7 +55,7 @@ def option_strings(command):
 def test_option_strings_are_pinned():
     for command in SUBCOMMANDS:
         assert option_strings(command) == sorted(OPTIONS[command]), command
-    assert sum(len(flags) for flags in OPTIONS.values()) == 50
+    assert sum(len(flags) for flags in OPTIONS.values()) == 48
 
 
 def test_readme_commands_run(tmp_path):
@@ -233,11 +233,10 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         cli.dispatch(["deck", "--g6", "Bw", "--named", "path3", "-k", "2"])
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        cli.dispatch(["classes", "-n", "9", "-k", "7"])  # n=9 needs opt-in
-    assert err.value.code == 2
     # values outside the range an option declares
-    for argv in (["pairs", "-l", "1"], ["pairs", "-l", "5"], ["threshold", "-l", "2"],
+    for argv in (["classes", "-n", "10", "-k", "7"], ["classes", "-n", "0", "-k", "1"],
+                 ["verify", "-n", "10", "-k", "7", "--invariant", "degree_list"],
+                 ["pairs", "-l", "1"], ["pairs", "-l", "5"], ["threshold", "-l", "2"],
                  ["subdeck", "--named", "path4", "-k", "3", "--steps", "0"]):
         with pytest.raises(SystemExit) as err:
             cli.dispatch(argv)
@@ -274,7 +273,7 @@ def test_every_subcommand_roundtrips_help(capsys):
         help_text = capsys.readouterr().out
         assert sub in help_text
         if sub in ("classes", "verify"):
-            for flag in ("--cache-dir", "--jobs", "--enable-n9", "--format"):
+            for flag in ("--cache-dir", "--jobs", "--format"):
                 assert flag in help_text
         if sub == "verify":
             assert "--invariant" in help_text
@@ -367,14 +366,16 @@ def test_unrealizable_deck_files_have_no_reconstructions(tmp_path):
     assert run(argv) == (0, "n=5 k=4 reconstructions=0\n")
 
 
-def test_order_ceiling_is_usage_error(capsys):
-    for argv in (["reconstructions", "--named", "path9", "-k", "3"],
-                 ["rho", "--named", "path9"]):
-        with pytest.raises(SystemExit) as err:
-            cli.dispatch(argv)
-        assert err.value.code == 2
-        assert "--enable-n9" not in capsys.readouterr().err
+def test_order_bound_and_removed_options(capsys):
+    # an order beyond the census is refused by the enumeration itself
+    for argv in (["reconstructions", "--named", "path10", "-k", "3"],
+                 ["rho", "--named", "path10"]):
+        assert run(argv) == (1, "")
+        assert "census order must be in [1, 9], got 10" in capsys.readouterr().err
     for argv in (["reconstructions", "--named", "path4", "-k", "3", "-n", "4"],
+                 ["classes", "-n", "5", "-k", "3", "--enable-n9"],
+                 ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list",
+                  "--enable-n9"],
                  ["reconstructions", "--named", "path4", "-k", "3", "--enable-n9"],
                  ["rho", "--named", "path4", "--enable-n9"],
                  ["rho", "--named", "path4", "--jobs", "1"],
@@ -384,3 +385,39 @@ def test_order_ceiling_is_usage_error(capsys):
         with pytest.raises(SystemExit) as err:
             cli.dispatch(argv)
         assert err.value.code == 2  # the option does not exist
+
+
+def test_order_nine_is_an_ordinary_census_order():
+    # a parse only: dispatching would enumerate all 274668 graphs
+    args = cli._build_parser().parse_args(["classes", "-n", "9", "-k", "5"])
+    assert args.n == 9
+    assert cli._build_parser().parse_args(
+        ["verify", "-n", "9", "-k", "6", "--invariant", "connectedness"]).n == 9
+
+
+def test_nine_vertex_queries_reach_the_search(monkeypatch, tmp_path):
+    path9 = canonical_key(named_graph("path9"))
+    orders = []
+
+    def one_member_family(n, jobs=1, cache=None):
+        orders.append(n)
+        return census.GraphFamily(n, (path9,))
+
+    monkeypatch.setattr(census, "enumerate_graphs", one_member_family)
+    cache = ["--cache-dir", str(tmp_path)]
+    assert run(["reconstructions", "--named", "path9", "-k", "8", *cache]) == (
+        0, f"n=9 k=8 reconstructions=1\n{path9}\n")
+    assert run(["rho", "--named", "path9", *cache]) == (0, "8\n")
+    assert orders == [9, 9]
+
+
+def test_deck_file_gives_k(tmp_path, capsys):
+    deck_file = tmp_path / "deck.tsv"
+    deck_file.write_text("k=2 n=6\nA?\t10\nA_\t5\n")
+    for argv in (["subdeck"], ["degrees"], ["reconstructions", "--cache-dir", str(tmp_path)]):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as err:
+            cli.dispatch([*argv, "--deck", str(deck_file), "-k", "9"], out=out)
+        assert err.value.code == 2, argv[0]
+        assert out.getvalue() == ""
+        assert "the deck file's header gives k" in capsys.readouterr().err

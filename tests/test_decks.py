@@ -14,11 +14,13 @@ import pytest
 
 from deckcensus import canon
 from deckcensus.canon import canonical_key
+from deckcensus.census import GRAPH_COUNTS
 from deckcensus.counting import binom
 from deckcensus.decks import (
     Deck,
     UnrealizableDeckError,
     _deck_tally,
+    _graph_of_key,
     _triangles_of_key,
     compute_deck,
     connected_card_count,
@@ -133,6 +135,13 @@ def test_clear_cache_is_transparent_for_decks():
     canon.clear_cache()
     assert not canon._memo
     assert decks_and_subdecks() == warm
+
+
+def test_decode_cache_is_bounded_above_every_small_family():
+    # every graph on at most 8 vertices fits, so no n <= 8 work evicts
+    maxsize = _graph_of_key.cache_info().maxsize
+    assert maxsize is not None
+    assert maxsize >= sum(GRAPH_COUNTS[:8])
 
 
 def test_deck_tally_matches_oracle_across_parents_and_card_sizes():
