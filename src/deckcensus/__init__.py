@@ -14,6 +14,7 @@ from .census import (
     DeckClass,
     GraphFamily,
     Violation,
+    count_violations,
     deck_classes,
     decide_connectedness,
     emit_report,

@@ -22,6 +22,7 @@ import concurrent.futures
 import enum
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -31,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 from . import canon
 from .counting import phi_formula
-from .decks import Deck, compute_deck, deck_equal, phi_vector
+from .decks import Deck, compute_deck, deck_equal, derive_subdeck, phi_vector
 from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
 from .decks import _deck_tally, _key_is_connected, _triangles_of_key, entry_text
 from .decks import edge_count_from_deck  # noqa: F401 (perfbench/tracing.py binds it)
@@ -276,13 +277,17 @@ def _pair_witness(invariant: str, value_a, value_b) -> str | None:
     return "non-isomorphic graphs sharing a deck"
 
 
+def _check_invariant(invariant: str) -> None:
+    if invariant not in INVARIANTS:
+        raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
+
+
 def verify_invariant(report: ClassReport, invariant: str) -> ClassReport:
     """Attach every in-class pair that disagrees on ``invariant``.
 
     Each member of a class with two or more members is decoded once.
     """
-    if invariant not in INVARIANTS:
-        raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
+    _check_invariant(invariant)
     violations: list[Violation] = []
     for cls in report.classes:
         if len(cls.members) < 2:
@@ -302,14 +307,24 @@ def verify_invariant(report: ClassReport, invariant: str) -> ClassReport:
     )
 
 
+def count_violations(report: ClassReport, invariant: str) -> int:
+    """How many pairs ``verify_invariant`` would attach, counted without
+    listing them: a class of m members on which ``invariant`` takes each
+    value v c_v times has C(m, 2) - sum_v C(c_v, 2) disagreeing pairs.
+    Linear in the family, so it also serves classes too large to list."""
+    _check_invariant(invariant)
+    count = 0
+    for cls in report.classes:
+        m = len(cls.members)
+        if m < 2:
+            continue
+        values = Counter(_member_value(invariant, key) for key in cls.members)
+        count += comb(m, 2) - sum(comb(c, 2) for c in values.values())
+    return count
+
+
 # ---------------------------------------------------------------------------
 # realization search
-
-
-@lru_cache(maxsize=None)
-def _phi_of_counts(counts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """phi(0), ..., phi(k-1) of any graph with degree counts ``counts``."""
-    return tuple(phi_formula(counts, len(counts), k, j) for j in range(k))
 
 
 @lru_cache(maxsize=8)
@@ -325,49 +340,74 @@ def _members_by_counts(members: tuple[str, ...]) -> dict[tuple[int, ...], list[i
     return groups
 
 
+@lru_cache(maxsize=8)
+def _members_by_phi(members: tuple[str, ...], k: int) -> dict[tuple[int, ...], list[int]]:
+    """Sorted indices of ``members`` grouped by the phi vector of their
+    k-decks, computed once per degree-count vector through
+    ``phi_formula``.  Distinct count vectors can share a phi vector."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for counts, indices in _members_by_counts(members).items():
+        phi = tuple(phi_formula(counts, len(counts), k, j) for j in range(k))
+        groups.setdefault(phi, []).extend(indices)
+    for indices in groups.values():
+        indices.sort()
+    return groups
+
+
 def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
     """Canonical keys of every member of ``family`` whose k-deck equals
     ``deck``, which must have the family's order.
 
     An empty result means no member realizes the deck.  By Kelly's lemma
     the deck fixes the count of every induced subgraph on at most k
-    vertices, so two counts read off it once screen the family exactly:
+    vertices, and (``derive_subdeck``) every smaller deck, so exact
+    screens are read off the deck once:
 
     - phi: the deck's degree-occurrence totals must equal those of the
       member's degree counts (this also fixes the edge count, since
-      sum_j j * phi(j) = 2e * C(n-2, k-2));
+      sum_j j * phi(j) = 2e * C(n-2, k-2)).  The family is indexed by
+      phi once per card size, so this screen is one dict lookup;
     - triangles (k >= 3): the member must have sum(mult * t(card)) /
       C(n-3, k-3) triangles, and a total that does not divide means no
-      graph realizes the deck.
+      graph realizes the deck;
+    - the 4-deck (k > 4): the member's 4-deck must equal the one derived
+      from the deck, and a derivation that does not divide means no
+      graph realizes the deck.  A 4-deck has only 11 card classes, all
+      held by the canonical-key memo after the first few cards.
 
-    The phi screen runs once per degree-count vector of the family, not
-    once per member.  Only a member that passes both screens is decoded
-    and has its deck built and compared.  Both screens are implied by
-    deck equality, so they never change the result.
+    Only a member that passes every screen has its k-deck built and
+    compared.  The screens are implied by deck equality, so they never
+    change the result.
     """
     n = family.order
     if deck.origin_order != n:
         raise ValueError(f"deck has origin order {deck.origin_order}, expected {n}")
     k = deck.card_size
-    phi = phi_vector(deck)
-    triangles = None
+    triangles = four = None
     if k >= 3:
         total = sum(mult * _triangles_of_key(key) for key, mult in deck.entries.items())
         triangles, rest = divmod(total, comb(n - 3, k - 3))
         if rest:
             return ()
+    if k > 4:
+        four = deck
+        try:
+            while four.card_size > 4:
+                four = derive_subdeck(four)
+        except UnrealizableDeckError:
+            return ()
     members = family.members
     found = []
-    for counts, indices in _members_by_counts(members).items():
-        if _phi_of_counts(counts, k) != phi:
+    for i in _members_by_phi(members, k).get(phi_vector(deck), ()):
+        key = members[i]
+        if triangles is not None and _triangles_of_key(key) != triangles:
             continue
-        for i in indices:
-            key = members[i]
-            if triangles is not None and _triangles_of_key(key) != triangles:
-                continue
-            if deck_equal(compute_deck(_graph_of_key(key), k), deck):
-                found.append(i)
-    return tuple(members[i] for i in sorted(found))
+        g = _graph_of_key(key)
+        if four is not None and compute_deck(g, 4).entries != four.entries:
+            continue
+        if deck_equal(compute_deck(g, k), deck):
+            found.append(key)
+    return tuple(found)
 
 
 def decide_connectedness(deck: Deck, family: GraphFamily) -> Connectedness:
@@ -529,6 +569,15 @@ def _class_lines(report: ClassReport) -> list[str]:
     )
 
 
+def summary_line(report: ClassReport, violations: int | None = None) -> str:
+    """The one-line summary of a class report, with a violation count
+    when one is given."""
+    line = f"n={report.order} k={report.card_size} classes={len(report.classes)}"
+    if violations is not None:
+        line += f" violations={violations}"
+    return line + "\n"
+
+
 def emit_report(report: ClassReport, fmt: str = "summary") -> str:
     """Render a class report deterministically.
 
@@ -536,10 +585,8 @@ def emit_report(report: ClassReport, fmt: str = "summary") -> str:
     when an invariant was checked) under a header line.
     """
     if fmt == "summary":
-        line = f"n={report.order} k={report.card_size} classes={len(report.classes)}"
-        if report.invariant is not None:
-            line += f" violations={len(report.violations)}"
-        return line + "\n"
+        checked = report.invariant is not None
+        return summary_line(report, len(report.violations) if checked else None)
     if fmt == "tsv":
         if report.invariant is not None:
             lines = ["key_a\tkey_b\twitness"]

@@ -144,9 +144,15 @@ def _run_census(args, parser, out) -> None:
     cache = census.CensusCache(args.cache_dir)
     family = census.enumerate_graphs(args.n, jobs=args.jobs, cache=cache)
     report = census.deck_classes(family, args.k, jobs=args.jobs, cache=cache)
-    if args.command == "verify":
+    if args.command == "classes":
+        out.write(census.emit_report(report, args.format))
+    elif args.format == "tsv":
         report = census.verify_invariant(report, args.invariant)
-    out.write(census.emit_report(report, args.format))
+        out.write(census.emit_report(report, "tsv"))
+    else:
+        # counted per class, so a class of thousands lists no pairs
+        count = census.count_violations(report, args.invariant)
+        out.write(census.summary_line(report, count))
 
 
 def _run_reconstructions(args, parser, out) -> None:

@@ -83,25 +83,29 @@ class Deck:
         )
 
 
-# Room for every graph on at most 8 vertices (13598 keys, the A000088
-# counts summed), so no n <= 8 workload evicts anything, while an n = 9
-# census streams past the cache instead of keeping its family decoded.
-@lru_cache(maxsize=1 << 14)
+# The per-key caches have room for every graph on at most 8 vertices
+# (13598 keys, the A000088 counts summed), so no n <= 8 workload evicts
+# anything, while an n = 9 census or query streams past them instead of
+# keeping a value for each of its 274668 members.
+_KEY_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _graph_of_key(key: str) -> Graph:
     return from_graph6(key)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _degree_counts_of_key(key: str) -> tuple[int, ...]:
     return degree_counts(_graph_of_key(key))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _key_is_connected(key: str) -> bool:
     return is_connected(_graph_of_key(key))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _triangles_of_key(key: str) -> int:
     g = _graph_of_key(key)
     # each triangle is counted once from each of its three edges

@@ -323,7 +323,35 @@ def test_find_reconstructions_matches_deck_classes_n6(family6):
 
 
 def test_find_reconstructions_matches_deck_classes_n7(family7):
-    _assert_matches_deck_classes(family7, range(3, 7), family7.members[::10])
+    _assert_matches_deck_classes(family7, range(3, 7), family7.members)
+
+
+def test_find_reconstructions_matches_deck_classes_n8(family8):
+    sample = random.Random(8).sample(family8.members, 60)
+    _assert_matches_deck_classes(family8, range(4, 8), sample)
+
+
+def test_four_deck_screen_spares_the_k_decks(monkeypatch, family7):
+    # a member alone in its 4-deck class: every other candidate that
+    # passes the phi and triangle screens fails on its 4-deck
+    singles = [cls.members[0] for cls in deck_classes(family7, 4).classes
+               if len(cls.members) == 1]
+    built = []
+
+    def counted(g, k):
+        built.append(k)
+        return compute_deck(g, k)
+
+    monkeypatch.setattr(census, "compute_deck", counted)
+    screened = 0
+    for key in singles[::50]:
+        deck = compute_deck(from_graph6(key), 6)
+        built.clear()
+        assert find_reconstructions(deck, family7) == (key,)
+        assert built.count(6) == 1, key
+        screened += built.count(4) - 1
+    # the screen turned candidates away
+    assert screened > 0
 
 
 def test_find_reconstructions_simple_cases(family6, family7):

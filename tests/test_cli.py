@@ -5,6 +5,7 @@ import concurrent.futures
 import io
 import os
 import shlex
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,28 @@ def test_verify_summary_golden(tmp_path):
     assert text == "n=5 k=3 classes=32 violations=2\n"
     # identical bytes on the warm-cache rerun
     assert run(argv) == (status, text)
+
+
+def test_verify_summary_counts_the_tsv_rows(tmp_path, family6):
+    census.CensusCache(tmp_path).store_family(family6)
+    for k in range(1, 7):
+        for invariant in census.INVARIANTS:
+            argv = ["verify", "-n", "6", "-k", str(k), "--invariant", invariant,
+                    "--cache-dir", str(tmp_path)]
+            status, summary = run(argv)
+            tsv_status, tsv = run(argv + ["--format", "tsv"])
+            assert status == tsv_status == 0
+            rows = len(tsv.splitlines()) - 1
+            assert summary.endswith(f" violations={rows}\n"), (k, invariant)
+
+
+def test_verify_summary_of_one_huge_class(tmp_path, family8):
+    # k = 1: all 12346 graphs share one class, and every pair of them is
+    # non-isomorphic, so the count is C(12346, 2) with no pair listed
+    census.CensusCache(tmp_path).store_family(family8)
+    argv = ["verify", "-n", "8", "-k", "1", "--invariant", "isomorphism",
+            "--cache-dir", str(tmp_path)]
+    assert run(argv) == (0, f"n=8 k=1 classes=1 violations={comb(12346, 2)}\n")
 
 
 def test_verify_tsv_contains_pair(tmp_path):
@@ -364,6 +387,14 @@ def test_unrealizable_deck_files_have_no_reconstructions(tmp_path):
     # one K3+K1 card: 1 triangle over C(2, 1) = 2 cards per triangle
     deck_file.write_text("k=4 n=5\nCJ\t1\nC?\t4\n")
     assert run(argv) == (0, "n=5 k=4 reconstructions=0\n")
+    # 5 x P5 + K3+K2 has the phi of C6's 5-deck, but 1 triangle over
+    # C(3, 2) = 3 cards per triangle
+    deck_file.write_text("k=5 n=6\nDBg\t5\nDJ_\t1\n")
+    assert run(argv) == (0, "n=6 k=5 reconstructions=0\n")
+    # 6 x P6 + C4+K2 has the phi of C7's 6-deck and no triangle, but its
+    # derived 4-deck does not divide
+    deck_file.write_text("k=6 n=7\nE@U_\t6\nE@r?\t1\n")
+    assert run(argv) == (0, "n=7 k=6 reconstructions=0\n")
 
 
 def test_order_bound_and_removed_options(capsys):

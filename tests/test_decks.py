@@ -20,7 +20,9 @@ from deckcensus.decks import (
     Deck,
     UnrealizableDeckError,
     _deck_tally,
+    _degree_counts_of_key,
     _graph_of_key,
+    _key_is_connected,
     _triangles_of_key,
     compute_deck,
     connected_card_count,
@@ -138,10 +140,14 @@ def test_clear_cache_is_transparent_for_decks():
 
 
 def test_decode_cache_is_bounded_above_every_small_family():
-    # every graph on at most 8 vertices fits, so no n <= 8 work evicts
-    maxsize = _graph_of_key.cache_info().maxsize
-    assert maxsize is not None
-    assert maxsize >= sum(GRAPH_COUNTS[:8])
+    # every graph on at most 8 vertices fits, so no n <= 8 work evicts,
+    # and an n = 9 family streams past every per-key cache
+    assert sum(GRAPH_COUNTS[:8]) == 13598
+    for cached in (_graph_of_key, _degree_counts_of_key, _key_is_connected,
+                   _triangles_of_key):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None, cached.__name__
+        assert maxsize >= 13598, cached.__name__
 
 
 def test_deck_tally_matches_oracle_across_parents_and_card_sizes():
