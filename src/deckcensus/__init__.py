@@ -6,17 +6,15 @@ deck-determined invariants (degree list, connectedness, isomorphism)
 over every n-vertex graph at desk scale.
 """
 
-from .canon import canonical_graph, canonical_key, is_isomorphic
+from .canon import canonical_key
 from .census import (
     CensusCache,
     ClassReport,
-    Connectedness,
     DeckClass,
     GraphFamily,
     Violation,
     count_violations,
     deck_classes,
-    decide_connectedness,
     emit_report,
     enumerate_graphs,
     find_reconstructions,
@@ -30,7 +28,6 @@ from .counting import (
     counts_to_degree_list,
     deck_difference,
     degree_list_threshold,
-    incident_edge_lower_bound,
     phi_diff_residual,
     phi_formula,
     reconstruct_degree_list,
@@ -51,7 +48,6 @@ from .graphs import (
     Graph,
     Graph6Error,
     claw_subdivided,
-    complement,
     complete_graph,
     cycle_graph,
     degree_counts,
@@ -59,7 +55,6 @@ from .graphs import (
     disjoint_union,
     empty_graph,
     from_graph6,
-    induced_subgraph,
     is_connected,
     named_graph,
     path_graph,

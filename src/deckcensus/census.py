@@ -19,7 +19,6 @@ results are identical for any worker count.
 from __future__ import annotations
 
 import concurrent.futures
-import enum
 import os
 import tempfile
 from collections import Counter
@@ -110,12 +109,6 @@ class ClassReport:
     classes: tuple[DeckClass, ...]
     invariant: str | None = None
     violations: tuple[Violation, ...] = ()
-
-
-class Connectedness(enum.Enum):
-    CONNECTED = "connected"
-    DISCONNECTED = "disconnected"
-    AMBIGUOUS = "ambiguous"
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +218,9 @@ def deck_classes(
     share a class exactly when their decks are equal.  Each class is then
     labeled with the FNV-1a digest of that text, which only names it in
     class TSVs and cache files: a (vanishingly unlikely) collision yields
-    two classes that share a label, never a merged class.  (A class file
-    names classes by label only, so a reload from ``cache`` would read
-    two such classes back as one.)
+    two classes that share a label, never a merged class.  A class file
+    names classes by label only, so it is stored only when the labels
+    are pairwise distinct.
     """
     if not 1 <= k <= family.order:
         raise ValueError(f"card size {k} out of range for order {family.order}")
@@ -247,7 +240,7 @@ def deck_classes(
     ]
     classes.sort()
     report = ClassReport(family.order, k, tuple(classes))
-    if cache is not None:
+    if cache is not None and len({cls.digest_hex for cls in classes}) == len(classes):
         cache.store_classes(report)
     return report
 
@@ -408,20 +401,6 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
         if deck_equal(compute_deck(g, k), deck):
             found.append(key)
     return tuple(found)
-
-
-def decide_connectedness(deck: Deck, family: GraphFamily) -> Connectedness:
-    """Consensus connectedness over all realizations of ``deck`` in ``family``."""
-    keys = find_reconstructions(deck, family)
-    if not keys:
-        raise UnrealizableDeckError(
-            f"unrealizable deck: no {family.order}-vertex graph has this "
-            f"{deck.card_size}-deck"
-        )
-    verdicts = {_key_is_connected(key) for key in keys}
-    if len(verdicts) == 2:
-        return Connectedness.AMBIGUOUS
-    return Connectedness.CONNECTED if verdicts.pop() else Connectedness.DISCONNECTED
 
 
 def reconstructibility_number(g: Graph, family: GraphFamily) -> int:

@@ -135,13 +135,6 @@ def phi_diff_residual(diffs: Sequence[int], n: int, k: int, j: int) -> int:
     return _identity_sum(diffs, n, k, j, j)
 
 
-def incident_edge_lower_bound(t: int, s: int) -> int:
-    """Edges incident to any t vertices whose degrees sum to at least s."""
-    if t < 0 or s < 0:
-        raise ValueError("arguments must be nonnegative")
-    return max(0, s - t * (t - 1) // 2)
-
-
 def degree_list_threshold(l: int) -> float:
     """Order bound g(l) above which the degree list is determined by the
     deck of cards missing l vertices.

@@ -78,12 +78,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({self.n}, {sorted(self.edges())})"
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with u < v, sorted."""
         return [
@@ -92,10 +86,6 @@ class Graph:
             for v in range(u + 1, self.n)
             if self.rows[u] >> v & 1
         ]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +285,6 @@ def named_graph(spec: str) -> Graph:
 # basic operations
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by ``vertices``, relabeled 0..|S|-1 in ascending
-    original order."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise ValueError("vertex set must be nonempty")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise ValueError(f"vertex set {vs} out of range for n={g.n}")
-    rows = []
-    for u in vs:
-        row = 0
-        src = g.rows[u]
-        for i, v in enumerate(vs):
-            row |= (src >> v & 1) << i
-        rows.append(row)
-    return Graph.from_rows(rows)
-
-
 def degree_list(g: Graph) -> tuple[int, ...]:
     """Vertex degrees as a nonincreasing tuple."""
     return tuple(sorted((r.bit_count() for r in g.rows), reverse=True))
@@ -324,12 +296,6 @@ def degree_counts(g: Graph) -> tuple[int, ...]:
     for r in g.rows:
         counts[r.bit_count()] += 1
     return tuple(counts)
-
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    rows = [full & ~r & ~(1 << v) for v, r in enumerate(g.rows)]
-    return Graph.from_rows(rows)
 
 
 def is_connected(g: Graph) -> bool:

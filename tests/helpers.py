@@ -3,10 +3,11 @@
 import random
 from collections import Counter
 from itertools import combinations, permutations
+from typing import Iterable
 
 from deckcensus import canon
 from deckcensus.census import GraphFamily
-from deckcensus.graphs import Graph, induced_subgraph
+from deckcensus.graphs import Graph
 
 # Published counts of n-vertex graphs up to isomorphism.  Used only as an
 # external sanity cross-check; the in-repo dual enumerators are the oracle.
@@ -21,6 +22,30 @@ def random_graph(rng: random.Random, n: int) -> Graph:
 def permuted(g: Graph, perm) -> Graph:
     """Relabel: vertex v of ``g`` becomes perm[v]."""
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Subgraph induced by ``vertices``, relabeled 0..|S|-1 in ascending
+    original order."""
+    vs = sorted(set(vertices))
+    if not vs:
+        raise ValueError("vertex set must be nonempty")
+    if vs[0] < 0 or vs[-1] >= g.n:
+        raise ValueError(f"vertex set {vs} out of range for n={g.n}")
+    rows = []
+    for u in vs:
+        row = 0
+        src = g.rows[u]
+        for i, v in enumerate(vs):
+            row |= (src >> v & 1) << i
+        rows.append(row)
+    return Graph.from_rows(rows)
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    rows = [full & ~r & ~(1 << v) for v, r in enumerate(g.rows)]
+    return Graph.from_rows(rows)
 
 
 def induced_deck(g: Graph, k: int) -> Counter:

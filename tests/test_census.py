@@ -11,9 +11,7 @@ from deckcensus import census
 from deckcensus.canon import canonical_key
 from deckcensus.census import (
     CensusCache,
-    Connectedness,
     deck_classes,
-    decide_connectedness,
     emit_report,
     enumerate_graphs,
     find_reconstructions,
@@ -22,7 +20,7 @@ from deckcensus.census import (
     verify_invariant,
 )
 from deckcensus.cli import dispatch
-from deckcensus.decks import UnrealizableDeckError, compute_deck, deck_equal
+from deckcensus.decks import Deck, _key_is_connected, compute_deck, deck_equal
 from deckcensus.decks import entry_text, serialize_deck
 from deckcensus.graphs import (
     claw_subdivided,
@@ -236,6 +234,20 @@ def test_grouping_never_reads_the_label(monkeypatch, family6):
     assert len(deck_classes(family6, 4).classes) == 156
 
 
+def test_colliding_labels_are_never_stored(monkeypatch, tmp_path, family5):
+    # a class file names classes by label only, so a reload would merge
+    # classes that share one
+    expected = deck_classes(family5, 3).classes
+    monkeypatch.setattr(census, "_class_label", lambda text: "0" * 32)
+    cache = CensusCache(tmp_path)
+    first = deck_classes(family5, 3, cache=cache)
+    assert not (tmp_path / "classes_n5_k3.tsv").exists()
+    assert deck_classes(family5, 3, cache=cache).classes == first.classes
+    assert sorted(c.members for c in first.classes) == sorted(
+        c.members for c in expected
+    )
+
+
 def test_entry_text_is_deck_identity(family6):
     for k in (3, 4):
         decks = [compute_deck(from_graph6(key), k) for key in family6.members]
@@ -366,36 +378,25 @@ def test_find_reconstructions_simple_cases(family6, family7):
         find_reconstructions(deck, family6)
 
 
-def test_decide_connectedness(family5, family6, family7):
-    assert (
-        decide_connectedness(compute_deck(path_graph(7), 4), family7)
-        is Connectedness.CONNECTED
-    )
-    assert (
-        decide_connectedness(compute_deck(named_graph("cycle5+empty1"), 3), family6)
-        is Connectedness.AMBIGUOUS
-    )
-    assert (
-        decide_connectedness(compute_deck(named_graph("cycle4+empty1"), 3), family5)
-        is Connectedness.AMBIGUOUS
-    )
+def test_find_reconstructions_connectedness(family5, family6, family7):
+    def verdicts(deck, family):
+        return {_key_is_connected(key) for key in find_reconstructions(deck, family)}
+
+    assert verdicts(compute_deck(path_graph(7), 4), family7) == {True}
+    assert verdicts(compute_deck(named_graph("cycle5+empty1"), 3), family6) == {
+        True, False
+    }
+    assert verdicts(compute_deck(named_graph("cycle4+empty1"), 3), family5) == {
+        True, False
+    }
     two_parts = disjoint_union(cycle_graph(4), cycle_graph(3))
-    assert (
-        decide_connectedness(compute_deck(two_parts, 5), family7)
-        is Connectedness.DISCONNECTED
-    )
-
-
-def test_decide_connectedness_unrealizable(family5):
-    from deckcensus.decks import Deck
-
+    assert verdicts(compute_deck(two_parts, 5), family7) == {False}
     # ten paths force 20/3 edges, so no 5-vertex graph realizes this deck
     fake = Deck(3, 5, {canonical_key(path_graph(3)): 10})
-    with pytest.raises(UnrealizableDeckError, match="unrealizable deck"):
-        decide_connectedness(fake, family5)
+    assert find_reconstructions(fake, family5) == ()
     # K5 is the unique realization of the all-triangles deck
     full = Deck(3, 5, {canonical_key(complete_graph(3)): 10})
-    assert decide_connectedness(full, family5) is Connectedness.CONNECTED
+    assert find_reconstructions(full, family5) == (canonical_key(complete_graph(5)),)
 
 
 def test_reconstructibility_numbers(family5, family6):

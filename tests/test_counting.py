@@ -11,7 +11,6 @@ from deckcensus.counting import (
     counts_to_degree_list,
     deck_difference,
     degree_list_threshold,
-    incident_edge_lower_bound,
     phi_diff_residual,
     phi_formula,
     reconstruct_degree_list,
@@ -149,16 +148,6 @@ def test_zero_residuals_do_not_imply_equal_decks():
     b = (0, 1, 0, 3, 2, 0, 1)
     c = tuple(x - y for x, y in zip(a, b))
     assert all(phi_diff_residual(c, 7, 4, j) == 0 for j in range(4))
-
-
-def test_incident_edge_lower_bound():
-    assert incident_edge_lower_bound(4, 20) == 14
-    assert incident_edge_lower_bound(3, 12) == 9
-    assert incident_edge_lower_bound(2, 1) == 0  # the t(t-1)/2 term eats all of s
-    assert incident_edge_lower_bound(2, 3) == 2
-    assert incident_edge_lower_bound(5, 3) == 0
-    with pytest.raises(ValueError):
-        incident_edge_lower_bound(-1, 3)
 
 
 # Frozen after confirming ~43.4 by direct evaluation of the formula.

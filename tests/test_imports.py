@@ -1,4 +1,4 @@
-"""Every module-level import is used.
+"""Every module-level import is used, and so is every public name.
 
 No linter is installed, so this scans the source with ``ast``: a name
 bound by a module-level import must be read somewhere in its module.
@@ -6,10 +6,16 @@ A package ``__init__`` imports to re-export and is skipped, and an
 import on a line marked ``# noqa: F401`` is kept on purpose.  The
 benchmark's tracer patches names by module attribute, so every name it
 binds must also still exist.
+
+The public surface is ratcheted the same way: every public function,
+class and method defined in the package must be read outside its own
+definition by package code, the acceptance suite or the benchmark.
+Unit tests do not count, so a name only its own tests call is flagged.
 """
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,3 +73,69 @@ def test_every_traced_binding_exists():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in table
                if attr not in vars(owner)]
     assert missing == []
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often each name is read: as a name, an attribute, or an
+    identifier string (the tracer binds attributes by string)."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.isidentifier()):
+            out[node.value] += 1
+    return out
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function or class
+    and each public method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unread_public_names(modules: dict, readers: list) -> list[str]:
+    """Public names of ``modules`` (stem -> tree) read nowhere in them
+    or in ``readers`` outside their own definitions."""
+    total = sum((reads(tree) for tree in [*modules.values(), *readers]), Counter())
+    return [
+        f"{stem}.{name}"
+        for stem, tree in modules.items()
+        for name, node in public_definitions(tree)
+        if total[node.name] == reads(node)[node.name]
+    ]
+
+
+def test_surface_scanner_skips_own_bodies_and_private_names():
+    source = (
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def _private():\n    return used()\n"
+        "class Box:\n"
+        "    def get(self):\n        return self.get\n"
+        "    def put(self):\n        return None\n"
+    )
+    reader = ast.parse("TRACED = ('put',)\n")
+    assert unread_public_names({"m": ast.parse(source)}, [reader]) == [
+        "m.recursive", "m.Box", "m.Box.get",
+    ]
+
+
+def test_every_public_name_is_read():
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "deckcensus").glob("*.py"))
+               if path.name != "__init__.py"}
+    readers = [ROOT / "tests" / "test_acceptance.py"]
+    readers += sorted((ROOT / "perfbench").glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in readers]
+    assert unread_public_names(modules, trees) == []
