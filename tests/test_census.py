@@ -378,7 +378,8 @@ def test_find_reconstructions_simple_cases(family6, family7):
         find_reconstructions(deck, family6)
 
 
-def test_find_reconstructions_connectedness(family5, family6, family7):
+def test_decide_connectedness(family5, family6, family7):
+    # connectedness is decided when all realizations of the deck agree on it
     def verdicts(deck, family):
         return {_key_is_connected(key) for key in find_reconstructions(deck, family)}
 
@@ -391,6 +392,9 @@ def test_find_reconstructions_connectedness(family5, family6, family7):
     }
     two_parts = disjoint_union(cycle_graph(4), cycle_graph(3))
     assert verdicts(compute_deck(two_parts, 5), family7) == {False}
+
+
+def test_decide_connectedness_unrealizable(family5):
     # ten paths force 20/3 edges, so no 5-vertex graph realizes this deck
     fake = Deck(3, 5, {canonical_key(path_graph(3)): 10})
     assert find_reconstructions(fake, family5) == ()
