@@ -19,6 +19,7 @@ results are identical for any worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import os
 import tempfile
 from collections import Counter
@@ -26,11 +27,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import canon
-from .counting import phi_formula
+from .counting import phi_formula  # noqa: F401 (perfbench/tracing.py binds it)
 from .decks import Deck, compute_deck, deck_equal, derive_subdeck, phi_vector
 from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
 from .decks import _deck_tally, _key_is_connected, _triangles_of_key, entry_text
@@ -49,11 +51,26 @@ from .graphs import (
 )
 
 # Published counts of n-vertex graphs up to isomorphism (OEIS A000088),
-# n = 1..MAX_CENSUS_ORDER; a cached family of any other size is rejected.
+# n = 1..MAX_CENSUS_ORDER; an enumerated family of any other size is
+# rejected.
 GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
-# The only order bound: the orders whose family size a reload can check.
+# The only order bound: the orders whose family size and file are pinned.
 MAX_CENSUS_ORDER = len(GRAPH_COUNTS)
+
+# sha256 of each family file, graphs_n{n}.g6, n = 1..MAX_CENSUS_ORDER:
+# the sorted canonical keys, one per line.  A reload must match its pin.
+FAMILY_SHA256 = (
+    "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    "1d237c0da1c599bbd8f4cffdf1fd13171099276e9ca335a1e0c819e4be9b2bea",
+    "4779a12d9a07b2a2e13924257ea8b573ba0bd3af65d263532115d2ee564e7762",
+    "20785da1cf32ff06b5c7830950a3525a00c0ffc56e24213a2047c413effdf161",
+    "6ba261a8381f12c8b4b59ae2c7715cee98a31b3f4c6b5a6bea5ef4eba006a0fc",
+    "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f",
+    "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867",
+    "0577f590f96e98da745054103d3ce8b4fc9c088892be55bd9631951893def3c0",
+)
 
 # FNV-1a, 128-bit variant: a stable, non-cryptographic label for a deck
 # class in class TSVs and cache files.  Grouping never reads it.
@@ -165,8 +182,10 @@ def enumerate_graphs(
 ) -> GraphFamily:
     """One canonical representative per isomorphism class of n-vertex graphs.
 
-    Raises ``ValueError``, before anything is stored, if non-canonical
-    parents (a stale cache file) give the family the wrong size.
+    A cached family is reloaded only if it matches its pin (see
+    ``CensusCache``), so a stale parent file fails at load, before any
+    augmentation.  Raises ``ValueError``, before anything is stored, if
+    the augmented family still comes out the wrong size.
     """
     if not 1 <= n <= MAX_CENSUS_ORDER:
         raise ValueError(f"census order must be in [1, {MAX_CENSUS_ORDER}], got {n}")
@@ -322,10 +341,12 @@ def count_violations(report: ClassReport, invariant: str) -> int:
 
 @lru_cache(maxsize=8)
 def _members_by_counts(members: tuple[str, ...]) -> dict[tuple[int, ...], list[int]]:
-    """Indices of ``members`` grouped by degree counts.
+    """Indices of ``members`` grouped by degree counts; n = 8 has 1213
+    groups.
 
-    Keyed by content, because every command reloads its family from the
-    cache file; n = 8 has 1213 groups.
+    A reloaded family is the one ``GraphFamily`` that
+    ``CensusCache.load_family`` decoded for its order, so each command
+    finds its entry by identity, and only hashes the member tuple.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(members):
@@ -333,15 +354,31 @@ def _members_by_counts(members: tuple[str, ...]) -> dict[tuple[int, ...], list[i
     return groups
 
 
+@lru_cache(maxsize=None)
+def _phi_columns(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The coefficients of ``phi_formula`` for n-vertex graphs and
+    k-decks: entry i of column j < k is C(i, j) * C(n-1-i, k-1-j), what
+    one vertex of degree i adds to phi(j)."""
+    return tuple(
+        tuple(comb(i, j) * comb(n - 1 - i, k - 1 - j) for i in range(n))
+        for j in range(k)
+    )
+
+
+def _phi_of_counts(counts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The phi vector of the k-deck of any graph with degree counts
+    ``counts``: phi(j) is column j of ``_phi_columns`` dotted with them."""
+    return tuple(sum(map(mul, counts, col)) for col in _phi_columns(len(counts), k))
+
+
 @lru_cache(maxsize=8)
 def _members_by_phi(members: tuple[str, ...], k: int) -> dict[tuple[int, ...], list[int]]:
     """Sorted indices of ``members`` grouped by the phi vector of their
-    k-decks, computed once per degree-count vector through
-    ``phi_formula``.  Distinct count vectors can share a phi vector."""
+    k-decks, computed once per degree-count vector from the coefficient
+    table ``_phi_columns``.  Distinct count vectors can share a phi vector."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for counts, indices in _members_by_counts(members).items():
-        phi = tuple(phi_formula(counts, len(counts), k, j) for j in range(k))
-        groups.setdefault(phi, []).extend(indices)
+        groups.setdefault(_phi_of_counts(counts, k), []).extend(indices)
     for indices in groups.values():
         indices.sort()
     return groups
@@ -359,7 +396,9 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
     - phi: the deck's degree-occurrence totals must equal those of the
       member's degree counts (this also fixes the edge count, since
       sum_j j * phi(j) = 2e * C(n-2, k-2)).  The family is indexed by
-      phi once per card size, so this screen is one dict lookup;
+      phi once per card size and process, from a per-(n, k) table of
+      the coefficients of ``phi_formula``, so this screen is one dict
+      lookup;
     - triangles (k >= 3): the member must have sum(mult * t(card)) /
       C(n-3, k-3) triangles, and a total that does not divide means no
       graph realizes the deck;
@@ -450,6 +489,11 @@ def known_pairs(l: int) -> tuple[tuple[Graph, Graph, int], ...]:
 # ---------------------------------------------------------------------------
 # persistent cache
 
+# Families that ``CensusCache.load_family`` decoded, by order.  Each was
+# decoded from bytes that matched the order's pin, so an order has one
+# possible content and an entry can never go stale.
+_DECODED_FAMILIES: dict[int, GraphFamily] = {}
+
 
 class CensusCache:
     """Directory-backed cache of families and class partitions.
@@ -458,9 +502,15 @@ class CensusCache:
     ``classes_n{n}_k{k}.tsv`` holds ``digestHex<TAB>canonicalKey`` lines
     sorted by digest then key, and a reload reads them in order,
     starting a class at each new digest.  Files are written atomically
-    (write-then-rename).  A file whose member count is wrong, or a class
-    line that is not ``digest<TAB>key`` or not greater than the line
-    before it, raises ``ValueError`` naming the file and line.
+    (write-then-rename).  A family file whose sha256 is not its pin in
+    ``FAMILY_SHA256``, a class file whose member count is wrong, or a
+    class line that is not ``digest<TAB>key`` or not greater than the
+    line before it, raises ``ValueError`` naming the file (and line).
+
+    Every load of a family file hashes its bytes, but each order is
+    decoded at most once per process: all loads that match the pin
+    return the same ``GraphFamily``.  The memo is keyed by verified
+    content, so it never goes stale.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -488,13 +538,17 @@ class CensusCache:
         path = self._family_path(n)
         if not path.exists():
             return None
-        members = tuple(path.read_text().split())  # graph6 has no whitespace
-        if len(members) != GRAPH_COUNTS[n - 1]:
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != FAMILY_SHA256[n - 1]:
             raise ValueError(
-                f"{path}: {len(members)} graphs, but there are "
-                f"{GRAPH_COUNTS[n - 1]} graphs on {n} vertices"
+                f"{path}: not the {GRAPH_COUNTS[n - 1]} graphs on {n} "
+                f"vertices (sha256 differs from its pin)"
             )
-        return GraphFamily(n, members)
+        family = _DECODED_FAMILIES.get(n)
+        if family is None:
+            members = tuple(data.decode().split())  # graph6 has no whitespace
+            family = _DECODED_FAMILIES[n] = GraphFamily(n, members)
+        return family
 
     def store_family(self, family: GraphFamily) -> None:
         self._write_atomic(

@@ -2,8 +2,11 @@
 search over small families."""
 
 import concurrent.futures
+import hashlib
 import io
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from deckcensus.census import (
     verify_invariant,
 )
 from deckcensus.cli import dispatch
+from deckcensus.counting import phi_formula
 from deckcensus.decks import Deck, _key_is_connected, compute_deck, deck_equal
 from deckcensus.decks import entry_text, serialize_deck
 from deckcensus.graphs import (
@@ -121,9 +125,53 @@ def test_non_canonical_parents_raise_before_storing(tmp_path, family5):
     ]
     assert sum(a != b for a, b in zip(relabelled, family5.members)) > 20
     (tmp_path / "graphs_n5.g6").write_text("\n".join(relabelled) + "\n")
-    with pytest.raises(ValueError, match="non-canonical"):
+    # the parent file fails its pin at load, before any augmentation
+    with pytest.raises(ValueError, match=r"graphs_n5\.g6: .*sha256"):
         enumerate_graphs(6, cache=CensusCache(tmp_path))
     assert not (tmp_path / "graphs_n6.g6").exists()
+
+
+def test_wrong_size_family_is_never_stored(monkeypatch, tmp_path, family5):
+    CensusCache(tmp_path).store_family(family5)
+    real = census._augment_chunk
+    monkeypatch.setattr(census, "_augment_chunk", lambda parents: real(parents)[1:])
+    with pytest.raises(ValueError, match="155 graphs on 6 vertices, not 156"):
+        enumerate_graphs(6, cache=CensusCache(tmp_path))
+    assert not (tmp_path / "graphs_n6.g6").exists()
+
+
+def test_family_pins_match_enumeration(family5, family6, family7, family8):
+    assert len(census.FAMILY_SHA256) == census.MAX_CENSUS_ORDER
+    families = {5: family5, 6: family6, 7: family7, 8: family8}
+    for n in range(1, 9):
+        text = "\n".join((families.get(n) or enumerate_graphs(n)).members) + "\n"
+        assert census.FAMILY_SHA256[n - 1] == hashlib.sha256(text.encode()).hexdigest()
+    # the benchmark pins the same files (n = 9 is too slow to enumerate here)
+    pins = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench/data/pins.json").read_text()
+    )
+    benchmark = [pins["families"][str(n)]["sha256"] for n in range(2, 8)]
+    assert list(census.FAMILY_SHA256[1:7]) == benchmark
+    assert census.FAMILY_SHA256[7] == pins["family_n8"]["sha256"]
+
+
+def test_family_reloads_share_one_decoding(tmp_path, family5):
+    CensusCache(tmp_path / "a").store_family(family5)
+    CensusCache(tmp_path / "b").store_family(family5)
+    first = CensusCache(tmp_path / "a").load_family(5)
+    assert first == family5
+    assert CensusCache(tmp_path / "a").load_family(5) is first
+    assert CensusCache(tmp_path / "b").load_family(5) is first
+
+
+def test_rewritten_family_file_is_rejected_on_next_load(tmp_path, family5):
+    cache = CensusCache(tmp_path)
+    cache.store_family(family5)
+    assert cache.load_family(5) == family5
+    path = tmp_path / "graphs_n5.g6"
+    path.write_text("\n".join(reversed(family5.members)) + "\n")
+    with pytest.raises(ValueError, match=r"graphs_n5\.g6: .*sha256"):
+        cache.load_family(5)
 
 
 def test_parallel_enumeration_matches_serial(family6):
@@ -328,6 +376,16 @@ def _assert_matches_deck_classes(family, card_sizes, members):
             deck = compute_deck(from_graph6(key), k)
             found = find_reconstructions(deck, family)
             assert found == classes[key], (key, k)
+
+
+def test_phi_table_equals_phi_formula(family5, family6, family7, family8):
+    families = {5: family5, 6: family6, 7: family7, 8: family8}
+    for n in range(1, 9):
+        family = families.get(n) or enumerate_graphs(n)
+        for counts in census._members_by_counts(family.members):
+            for k in range(1, n + 1):
+                want = tuple(phi_formula(counts, n, k, j) for j in range(k))
+                assert census._phi_of_counts(counts, k) == want, (counts, k)
 
 
 def test_find_reconstructions_matches_deck_classes_n6(family6):

@@ -12,7 +12,9 @@ import pytest
 
 from deckcensus import census, cli
 from deckcensus.canon import canonical_key
-from deckcensus.graphs import claw_subdivided, named_graph, to_graph6
+from deckcensus.graphs import claw_subdivided, from_graph6, named_graph, to_graph6
+
+from .helpers import permuted
 
 C5K1_G6 = to_graph6(named_graph("cycle5+empty1"))
 KPP_G6 = to_graph6(claw_subdivided(2))
@@ -335,11 +337,43 @@ def _error_names(capsys, argv, path):
     assert str(path) in capsys.readouterr().err
 
 
+def _verify_n6(tmp_path):
+    return ["verify", "-n", "6", "-k", "3", "--invariant", "degree_list",
+            "--cache-dir", str(tmp_path)]
+
+
 def test_truncated_family_file_is_rejected(tmp_path, capsys, family6):
     path = tmp_path / "graphs_n6.g6"
     path.write_text("\n".join(family6.members[:9]) + "\n")
-    _error_names(capsys, ["verify", "-n", "6", "-k", "3", "--invariant",
-                          "degree_list", "--cache-dir", str(tmp_path)], path)
+    _error_names(capsys, _verify_n6(tmp_path), path)
+
+
+def test_relabelled_family_file_is_rejected(tmp_path, capsys, family6):
+    # the right number of keys, the right byte count, the wrong graphs:
+    # each member with its vertex order reversed
+    relabelled = [to_graph6(permuted(from_graph6(key), range(5, -1, -1)))
+                  for key in family6.members]
+    assert sum(a != b for a, b in zip(relabelled, family6.members)) > 100
+    path = tmp_path / "graphs_n6.g6"
+    path.write_text("\n".join(relabelled) + "\n")
+    assert path.stat().st_size == len("\n".join(family6.members)) + 1
+    _error_names(capsys, _verify_n6(tmp_path), path)
+
+
+def test_family_file_with_a_flipped_byte_is_rejected(tmp_path, capsys, family6):
+    census.CensusCache(tmp_path).store_family(family6)
+    assert run(_verify_n6(tmp_path))[0] == 0
+    path = tmp_path / "graphs_n6.g6"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+    _error_names(capsys, _verify_n6(tmp_path), path)
+
+
+def test_family_file_without_final_newline_is_rejected(tmp_path, capsys, family6):
+    path = tmp_path / "graphs_n6.g6"
+    path.write_text("\n".join(family6.members))
+    _error_names(capsys, _verify_n6(tmp_path), path)
 
 
 def test_garbage_class_file_is_rejected(tmp_path, capsys):
