@@ -25,9 +25,9 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, islice, repeat
 from math import comb
-from operator import mul
+from operator import contains, eq, lt, mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -103,8 +103,7 @@ class GraphFamily:
 
 
 class DeckClass(NamedTuple):
-    """One deck class: its label and its sorted members.  A named tuple,
-    because a class-file reload builds one per class."""
+    """One deck class: its label and its sorted members."""
 
     digest_hex: str
     members: tuple[str, ...]
@@ -119,13 +118,34 @@ class Violation:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Deck-class partition of a family, optionally with invariant checks."""
+    """Deck-class partition of a family, optionally with invariant checks.
+
+    ``lines`` holds one sorted ``digest<TAB>key`` line per member: the
+    body of the class file and of ``classes --format tsv``.  ``shared``
+    holds the classes of two or more members, sorted; only they can
+    hold a violation.  Every other member is a class of its own, so the
+    partition has ``len(lines) - sum(len(c.members) - 1 for c in
+    shared)`` classes, and no object is built for a singleton.
+    """
 
     order: int
     card_size: int
-    classes: tuple[DeckClass, ...]
+    lines: tuple[str, ...]
+    shared: tuple[DeckClass, ...]
     invariant: str | None = None
     violations: tuple[Violation, ...] = ()
+
+    @property
+    def classes(self) -> tuple[DeckClass, ...]:
+        """Every class, singletons included, sorted by label, then
+        members.  Two classes that share a label stay two classes."""
+        in_shared = {key for cls in self.shared for key in cls.members}
+        singles = [
+            DeckClass(label, (key,))
+            for label, key in (line.split("\t") for line in self.lines)
+            if key not in in_shared
+        ]
+        return tuple(sorted([*self.shared, *singles]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +204,10 @@ def enumerate_graphs(
 
     A cached family is reloaded only if it matches its pin (see
     ``CensusCache``), so a stale parent file fails at load, before any
-    augmentation.  Raises ``ValueError``, before anything is stored, if
-    the augmented family still comes out the wrong size.
+    augmentation, and the parents are always the canonical family.
+    Raises ``ValueError``, before anything is stored, if the augmented
+    family still comes out the wrong size, which only a faulty
+    augmentation can cause.
     """
     if not 1 <= n <= MAX_CENSUS_ORDER:
         raise ValueError(f"census order must be in [1, {MAX_CENSUS_ORDER}], got {n}")
@@ -202,7 +224,7 @@ def enumerate_graphs(
         if len(keys) != GRAPH_COUNTS[n - 1]:
             raise ValueError(
                 f"{len(keys)} graphs on {n} vertices, not {GRAPH_COUNTS[n - 1]}: "
-                f"the {n - 1}-vertex family holds non-canonical keys"
+                f"augmenting the {n - 1}-vertex family went wrong"
             )
         family = GraphFamily(n, tuple(keys))
     if cache is not None:
@@ -237,9 +259,11 @@ def deck_classes(
     share a class exactly when their decks are equal.  Each class is then
     labeled with the FNV-1a digest of that text, which only names it in
     class TSVs and cache files: a (vanishingly unlikely) collision yields
-    two classes that share a label, never a merged class.  A class file
-    names classes by label only, so it is stored only when the labels
-    are pairwise distinct.
+    two classes that share a label, never a merged class.  The report
+    holds every member's ``digest<TAB>key`` line, sorted once here, and
+    a ``DeckClass`` only for each class of two or more members.  A class
+    file names classes by label only, so it is stored only when the
+    labels are pairwise distinct.
     """
     if not 1 <= k <= family.order:
         raise ValueError(f"card size {k} out of range for order {family.order}")
@@ -253,13 +277,15 @@ def deck_classes(
     by_text: dict[str, list[str]] = {}
     for key, text in rows:
         by_text.setdefault(text, []).append(key)
-    classes = [
-        DeckClass(_class_label(text), tuple(sorted(members)))
+    labels = {text: _class_label(text) for text in by_text}
+    lines = tuple(sorted(f"{labels[text]}\t{key}" for key, text in rows))
+    shared = tuple(sorted(
+        DeckClass(labels[text], tuple(sorted(members)))
         for text, members in by_text.items()
-    ]
-    classes.sort()
-    report = ClassReport(family.order, k, tuple(classes))
-    if cache is not None and len({cls.digest_hex for cls in classes}) == len(classes):
+        if len(members) > 1
+    ))
+    report = ClassReport(family.order, k, lines, shared)
+    if cache is not None and len(set(labels.values())) == len(labels):
         cache.store_classes(report)
     return report
 
@@ -297,13 +323,12 @@ def _check_invariant(invariant: str) -> None:
 def verify_invariant(report: ClassReport, invariant: str) -> ClassReport:
     """Attach every in-class pair that disagrees on ``invariant``.
 
-    Each member of a class with two or more members is decoded once.
+    Only the shared classes are read (a singleton has no pair), and each
+    of their members is decoded once.
     """
     _check_invariant(invariant)
     violations: list[Violation] = []
-    for cls in report.classes:
-        if len(cls.members) < 2:
-            continue
+    for cls in report.shared:
         valued = [(key, _member_value(invariant, key)) for key in cls.members]
         for (key_a, value_a), (key_b, value_b) in combinations(valued, 2):
             witness = _pair_witness(invariant, value_a, value_b)
@@ -313,7 +338,8 @@ def verify_invariant(report: ClassReport, invariant: str) -> ClassReport:
     return ClassReport(
         report.order,
         report.card_size,
-        report.classes,
+        report.lines,
+        report.shared,
         invariant,
         tuple(violations),
     )
@@ -321,15 +347,14 @@ def verify_invariant(report: ClassReport, invariant: str) -> ClassReport:
 
 def count_violations(report: ClassReport, invariant: str) -> int:
     """How many pairs ``verify_invariant`` would attach, counted without
-    listing them: a class of m members on which ``invariant`` takes each
-    value v c_v times has C(m, 2) - sum_v C(c_v, 2) disagreeing pairs.
-    Linear in the family, so it also serves classes too large to list."""
+    listing them: a shared class of m members on which ``invariant``
+    takes each value v c_v times has C(m, 2) - sum_v C(c_v, 2)
+    disagreeing pairs.  Linear in the shared members, so it also serves
+    classes too large to list."""
     _check_invariant(invariant)
     count = 0
-    for cls in report.classes:
+    for cls in report.shared:
         m = len(cls.members)
-        if m < 2:
-            continue
         values = Counter(_member_value(invariant, key) for key in cls.members)
         count += comb(m, 2) - sum(comb(c, 2) for c in values.values())
     return count
@@ -498,19 +523,25 @@ _DECODED_FAMILIES: dict[int, GraphFamily] = {}
 class CensusCache:
     """Directory-backed cache of families and class partitions.
 
-    ``graphs_n{n}.g6`` holds one canonical graph6 key per line, sorted;
-    ``classes_n{n}_k{k}.tsv`` holds ``digestHex<TAB>canonicalKey`` lines
-    sorted by digest then key, and a reload reads them in order,
-    starting a class at each new digest.  Files are written atomically
+    ``graphs_n{n}.g6`` holds one canonical graph6 key per line, sorted.
+    ``classes_n{n}_k{k}.tsv`` starts with the header line
+    ``#deckcensus-classes v1 n=N k=K members=M sha256=H``, where H is
+    the sha256 of the rest of the file: ``digestHex<TAB>canonicalKey``
+    lines sorted by digest then key.  Files are written atomically
     (write-then-rename).  A family file whose sha256 is not its pin in
-    ``FAMILY_SHA256``, a class file whose member count is wrong, or a
-    class line that is not ``digest<TAB>key`` or not greater than the
-    line before it, raises ``ValueError`` naming the file (and line).
+    ``FAMILY_SHA256``, a class file whose header does not name this
+    format, order, card size, member count and body hash, a class file
+    with the wrong number of lines, or a class line that is not
+    ``digest<TAB>key`` or not greater than the line before it, raises
+    ``ValueError`` naming the file (and the line, counting the header
+    as line 1).
 
     Every load of a family file hashes its bytes, but each order is
     decoded at most once per process: all loads that match the pin
     return the same ``GraphFamily``.  The memo is keyed by verified
-    content, so it never goes stale.
+    content, so it never goes stale.  A class file is checked with
+    whole-list operations, and a reload builds a ``DeckClass`` only for
+    each run of two or more lines with one label.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -559,53 +590,91 @@ class CensusCache:
         path = self._classes_path(family.order, k)
         if not path.exists():
             return None
-        grouped: list[tuple[str, list[str]]] = []
-        digest, previous = None, ""
-        for number, line in enumerate(path.read_text().splitlines(), 1):
-            try:
-                label, key = line.split("\t")
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {number} is not digest<TAB>key"
-                ) from None
-            if line <= previous:
-                raise ValueError(f"{path}: line {number} is out of order")
-            previous = line
-            if label != digest:
-                digest = label
-                members: list[str] = []
-                grouped.append((label, members))
-            members.append(key)
-        count = sum(len(keys) for _, keys in grouped)
-        if count != len(family):
+        header, _, body = path.read_bytes().partition(b"\n")
+        _check_class_header(
+            path, header.decode(errors="replace"),
+            _class_header(family.order, k, len(family), body),
+        )
+        lines = body.decode().split("\n")
+        if not lines[-1]:
+            lines.pop()
+        # exactly one tab on every line, and every line greater than the last
+        if not (
+            body.count(b"\t") == len(lines)
+            and all(map(contains, lines, repeat("\t")))
+            and all(map(lt, lines, islice(lines, 1, None)))
+        ):
+            _raise_at_first_bad_line(path, lines)
+        if len(lines) != len(family):
             raise ValueError(
-                f"{path}: {count} members, but the family has {len(family)}"
+                f"{path}: {len(lines)} members, but the family has {len(family)}"
             )
-        classes = tuple(DeckClass(label, tuple(keys)) for label, keys in grouped)
-        return ClassReport(family.order, k, classes)
+        fields = "\t".join(lines).split("\t")
+        labels, keys = fields[::2], fields[1::2]
+        runs: list[list[int]] = []  # [first, last] line of each shared class
+        # the lines whose label the next line repeats
+        for i in compress(range(len(lines)), map(eq, labels, islice(labels, 1, None))):
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1])
+        shared = tuple(DeckClass(labels[a], tuple(keys[a : b + 1])) for a, b in runs)
+        return ClassReport(family.order, k, tuple(lines), shared)
 
     def store_classes(self, report: ClassReport) -> None:
-        self._write_atomic(
-            self._classes_path(report.order, report.card_size),
-            "\n".join(_class_lines(report)) + "\n",
+        body = "\n".join(report.lines) + "\n"
+        header = _class_header(
+            report.order, report.card_size, len(report.lines), body.encode()
         )
+        self._write_atomic(
+            self._classes_path(report.order, report.card_size), header + "\n" + body
+        )
+
+
+def _class_header(n: int, k: int, members: int, body: bytes) -> str:
+    """The first line of a class file: format version, order, card size,
+    member count and the sha256 of the lines below it."""
+    digest = hashlib.sha256(body).hexdigest()
+    return f"#deckcensus-classes v1 n={n} k={k} members={members} sha256={digest}"
+
+
+def _check_class_header(path: Path, header: str, expected: str) -> None:
+    """Raise, naming the file and the first field that differs, unless
+    ``header`` is ``expected``."""
+    if header == expected:
+        return
+    got, want = header.split(" "), expected.split(" ")
+    if got[0] != want[0]:
+        raise ValueError(f"{path}: line 1 is not a {want[0]} header")
+    for field, wanted in zip(got[1:], want[1:]):
+        if field != wanted:
+            if wanted.startswith("sha256="):
+                raise ValueError(f"{path}: sha256 of the lines differs from the header")
+            raise ValueError(f"{path}: header has {field}, expected {wanted}")
+    raise ValueError(f"{path}: header has {len(got)} fields, expected {len(want)}")
+
+
+def _raise_at_first_bad_line(path: Path, lines: list[str]) -> None:
+    """Raise for the first class line that is not ``digest<TAB>key`` or
+    not greater than the line before it (file line numbers)."""
+    previous = ""
+    for number, line in enumerate(lines, 2):
+        if line.count("\t") != 1:
+            raise ValueError(f"{path}: line {number} is not digest<TAB>key")
+        if line <= previous:
+            raise ValueError(f"{path}: line {number} is out of order")
+        previous = line
 
 
 # ---------------------------------------------------------------------------
 # report rendering
 
 
-def _class_lines(report: ClassReport) -> list[str]:
-    """Sorted ``digest<TAB>key`` lines, one per member: the class file."""
-    return sorted(
-        f"{cls.digest_hex}\t{key}" for cls in report.classes for key in cls.members
-    )
-
-
 def summary_line(report: ClassReport, violations: int | None = None) -> str:
     """The one-line summary of a class report, with a violation count
     when one is given."""
-    line = f"n={report.order} k={report.card_size} classes={len(report.classes)}"
+    merged = sum(len(cls.members) - 1 for cls in report.shared)
+    line = f"n={report.order} k={report.card_size} classes={len(report.lines) - merged}"
     if violations is not None:
         line += f" violations={violations}"
     return line + "\n"
@@ -627,6 +696,6 @@ def emit_report(report: ClassReport, fmt: str = "summary") -> str:
                 f"{v.key_a}\t{v.key_b}\t{v.witness}" for v in report.violations
             ]
         else:
-            lines = ["digest\tkey"] + _class_lines(report)
+            lines = ["digest\tkey", *report.lines]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}; choose summary or tsv")

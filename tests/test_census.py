@@ -518,13 +518,102 @@ def test_cache_roundtrip(tmp_path, family5):
     rep = deck_classes(fam, 3, cache=cache)
     path = tmp_path / "classes_n5_k3.tsv"
     assert path.exists()
-    lines = path.read_text().splitlines()
+    header, *lines = path.read_text().splitlines()
+    assert header.startswith("#deckcensus-classes v1 n=5 k=3 members=34 sha256=")
     assert lines == sorted(lines)
     assert all(len(line.split("\t")) == 2 for line in lines)
     reloaded = deck_classes(fam, 3, cache=cache)
     assert reloaded.classes == rep.classes
     with pytest.raises(AttributeError):
         reloaded.classes[0].members = ()
+
+
+def test_reload_builds_only_shared_classes(tmp_path, family5, family6):
+    for family in (family5, family6):
+        n = family.order
+        for k in range(1, n + 1):
+            cache = CensusCache(tmp_path)
+            cold = deck_classes(family, k, cache=cache)
+            assert (tmp_path / f"classes_n{n}_k{k}.tsv").exists()
+            warm = deck_classes(family, k, cache=cache)
+            assert warm.lines == cold.lines
+            assert warm.shared == tuple(c for c in cold.classes if len(c.members) >= 2)
+            assert warm.classes == cold.classes
+            # the partition, grouped here by deck text and labeled directly
+            by_text = {}
+            for key in family.members:
+                text = entry_text(compute_deck(from_graph6(key), k).entries)
+                by_text.setdefault(text, []).append(key)
+            assert warm.classes == tuple(sorted(
+                census.DeckClass(census._class_label(text), tuple(members))
+                for text, members in by_text.items()
+            ))
+            assert census.summary_line(warm) == f"n={n} k={k} classes={len(by_text)}\n"
+
+
+def test_class_count_keeps_colliding_classes_apart(monkeypatch, family6):
+    monkeypatch.setattr(census, "_class_label", lambda text: "0" * 32)
+    rep = deck_classes(family6, 3)
+    assert census.summary_line(rep) == "n=6 k=3 classes=112\n"
+    assert all(len(cls.members) >= 2 for cls in rep.shared)
+    assert sorted(key for cls in rep.classes for key in cls.members) == list(
+        family6.members
+    )
+
+
+def _forge_class_file(path, n, k, members, lines):
+    """A class file holding ``lines`` under a header that matches them."""
+    body = "".join(line + "\n" for line in lines)
+    path.write_text(census._class_header(n, k, members, body.encode()) + "\n" + body)
+
+
+def test_class_header_names_the_first_wrong_field(tmp_path, family5):
+    cache = CensusCache(tmp_path)
+    report = deck_classes(family5, 3, cache=cache)
+    path = tmp_path / "classes_n5_k3.tsv"
+    header, _, body = path.read_text().partition("\n")
+    cases = [
+        (header.replace(" v1 ", " v0 "), "header has v0, expected v1"),
+        (header.replace("members=34", "members=33"),
+         "header has members=33, expected members=34"),
+        (header.replace("sha256=", "sha256=0"),
+         "sha256 of the lines differs from the header"),
+        (header + " extra", "header has 7 fields, expected 6"),
+        ("", "line 1 is not a #deckcensus-classes header"),
+    ]
+    for bad, message in cases:
+        path.write_text(bad + "\n" + body)
+        with pytest.raises(ValueError, match=message) as caught:
+            cache.load_classes(family5, 3)
+        assert str(path) in str(caught.value)
+    path.write_text(header + "\n" + body)
+    assert cache.load_classes(family5, 3) == report
+
+
+def test_class_lines_are_checked_behind_a_valid_header(tmp_path, family5):
+    cache = CensusCache(tmp_path)
+    lines = list(deck_classes(family5, 3, cache=cache).lines)
+    path = tmp_path / "classes_n5_k3.tsv"
+    no_tab = lines[5].replace("\t", "")
+    cases = [
+        (lines[:3] + ["no tab here"] + lines[4:], "line 5 is not digest<TAB>key"),
+        (lines[:3] + [lines[3] + "\tx"] + lines[4:], "line 5 is not digest<TAB>key"),
+        # one line short of a tab and another with one too many
+        (lines[:2] + [lines[2] + "\tx"] + lines[3:5] + [no_tab] + lines[6:],
+         "line 4 is not digest<TAB>key"),
+        (lines[:3] + [lines[4], lines[3]] + lines[5:], "line 6 is out of order"),
+        (lines[:4] + [lines[3]] + lines[5:], "line 6 is out of order"),
+        (lines[:-1], "33 members, but the family has 34"),
+        (lines + ["ffffffffffffffffffffffffffffffff\tD~{"],
+         "35 members, but the family has 34"),
+    ]
+    for body, message in cases:
+        _forge_class_file(path, 5, 3, 34, body)
+        with pytest.raises(ValueError, match=message) as caught:
+            cache.load_classes(family5, 3)
+        assert str(path) in str(caught.value)
+    _forge_class_file(path, 5, 3, 34, lines)
+    assert cache.load_classes(family5, 3) == deck_classes(family5, 3)
 
 
 def test_emit_report_formats(family5):

@@ -403,6 +403,82 @@ def test_regrouped_class_file_is_rejected(tmp_path, capsys):
     _error_names(capsys, argv, path)
 
 
+def _class_error(capsys, argv, path):
+    """Run ``argv``, which must exit 1 naming ``path``; return stderr."""
+    status, _ = run(argv)
+    assert status == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    return err
+
+
+def test_class_file_under_another_k_is_rejected(tmp_path, capsys):
+    assert run(["classes", "-n", "5", "-k", "3", "--cache-dir", str(tmp_path)])[0] == 0
+    path = tmp_path / "classes_n5_k4.tsv"
+    path.write_bytes((tmp_path / "classes_n5_k3.tsv").read_bytes())
+    argv = ["verify", "-n", "5", "-k", "4", "--invariant", "isomorphism",
+            "--cache-dir", str(tmp_path)]
+    assert "header has k=3, expected k=4" in _class_error(capsys, argv, path)
+    path.unlink()
+    assert run(argv) == (0, "n=5 k=4 classes=34 violations=0\n")
+
+
+def test_class_file_of_another_order_is_rejected(tmp_path, capsys):
+    assert run(["classes", "-n", "6", "-k", "3", "--cache-dir", str(tmp_path)])[0] == 0
+    path = tmp_path / "classes_n5_k3.tsv"
+    path.write_bytes((tmp_path / "classes_n6_k3.tsv").read_bytes())
+    argv = ["classes", "-n", "5", "-k", "3", "--cache-dir", str(tmp_path)]
+    assert "header has n=6, expected n=5" in _class_error(capsys, argv, path)
+
+
+def test_headerless_class_file_is_rejected(tmp_path, capsys):
+    argv = ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list",
+            "--cache-dir", str(tmp_path)]
+    assert run(argv) == (0, "n=5 k=3 classes=32 violations=2\n")
+    path = tmp_path / "classes_n5_k3.tsv"
+    # the format before class files had headers: the sorted lines alone
+    path.write_text(path.read_text().partition("\n")[2])
+    assert "line 1 is not a #deckcensus-classes header" in _class_error(
+        capsys, argv, path
+    )
+
+
+def test_class_file_with_a_flipped_label_byte_is_rejected(tmp_path, capsys):
+    argv = ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list",
+            "--cache-dir", str(tmp_path)]
+    assert run(argv) == (0, "n=5 k=3 classes=32 violations=2\n")
+    path = tmp_path / "classes_n5_k3.tsv"
+    header, _, body = path.read_text().partition("\n")
+    lines = body.splitlines()
+    # flip the low bit of a label's last hex digit where the lines stay sorted
+    for i, line in enumerate(lines):
+        digit = chr(ord(line[31]) ^ 0x01)
+        flipped = [*lines[:i], line[:31] + digit + line[32:], *lines[i + 1:]]
+        if digit.isdigit() and all(map(str.__lt__, flipped, flipped[1:])):
+            break
+    else:
+        pytest.fail("no label byte can flip without reordering the lines")
+    path.write_text(header + "\n" + "".join(line + "\n" for line in flipped))
+    assert "sha256" in _class_error(capsys, argv, path)
+
+
+def test_warm_output_equals_cold_output(tmp_path, family6):
+    census.CensusCache(tmp_path).store_family(family6)
+    commands = [["classes"]] + [
+        ["verify", "--invariant", invariant] for invariant in census.INVARIANTS
+    ]
+    for k in range(1, 7):
+        path = tmp_path / f"classes_n6_k{k}.tsv"
+        for command in commands:
+            for fmt in ("summary", "tsv"):
+                argv = [*command, "-n", "6", "-k", str(k), "--format", fmt,
+                        "--cache-dir", str(tmp_path)]
+                path.unlink(missing_ok=True)
+                cold = run(argv)
+                assert cold[0] == 0 and path.exists(), argv
+                assert run(argv) == cold, argv
+
+
 def test_non_canonical_deck_file_is_rejected(tmp_path, capsys):
     deck_file = tmp_path / "deck.tsv"
     deck_file.write_text("k=3 n=6\nB?\t5\nBG\t10\nBW\t5\n")
