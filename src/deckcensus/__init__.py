@@ -24,7 +24,6 @@ from .census import (
 )
 from .counting import (
     InconsistentCountsError,
-    binom,
     counts_to_degree_list,
     deck_difference,
     degree_list_threshold,

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, islice, repeat
 from math import comb
-from operator import contains, eq, lt, mul
+from operator import contains, eq, lt
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import canon
+from .counting import _phi_of_counts
 from .counting import phi_formula  # noqa: F401 (perfbench/tracing.py binds it)
 from .decks import Deck, compute_deck, deck_equal, derive_subdeck, phi_vector
 from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
@@ -157,6 +158,11 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"worker count must be at least 1, got {jobs}")
 
 
+def _check_order(n: int) -> None:
+    if not 1 <= n <= MAX_CENSUS_ORDER:
+        raise ValueError(f"census order must be in [1, {MAX_CENSUS_ORDER}], got {n}")
+
+
 def _map_chunks(fn, items: Sequence, jobs: int, *args) -> list:
     """``fn(chunk, *args)`` concatenated over chunks of ``items``: one
     chunk in this process, or 4 * ``jobs`` chunks over ``jobs`` workers."""
@@ -209,8 +215,7 @@ def enumerate_graphs(
     family still comes out the wrong size, which only a faulty
     augmentation can cause.
     """
-    if not 1 <= n <= MAX_CENSUS_ORDER:
-        raise ValueError(f"census order must be in [1, {MAX_CENSUS_ORDER}], got {n}")
+    _check_order(n)
     _check_jobs(jobs)
     if cache is not None:
         cached = cache.load_family(n)
@@ -379,28 +384,11 @@ def _members_by_counts(members: tuple[str, ...]) -> dict[tuple[int, ...], list[i
     return groups
 
 
-@lru_cache(maxsize=None)
-def _phi_columns(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The coefficients of ``phi_formula`` for n-vertex graphs and
-    k-decks: entry i of column j < k is C(i, j) * C(n-1-i, k-1-j), what
-    one vertex of degree i adds to phi(j)."""
-    return tuple(
-        tuple(comb(i, j) * comb(n - 1 - i, k - 1 - j) for i in range(n))
-        for j in range(k)
-    )
-
-
-def _phi_of_counts(counts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """The phi vector of the k-deck of any graph with degree counts
-    ``counts``: phi(j) is column j of ``_phi_columns`` dotted with them."""
-    return tuple(sum(map(mul, counts, col)) for col in _phi_columns(len(counts), k))
-
-
 @lru_cache(maxsize=8)
 def _members_by_phi(members: tuple[str, ...], k: int) -> dict[tuple[int, ...], list[int]]:
     """Sorted indices of ``members`` grouped by the phi vector of their
-    k-decks, computed once per degree-count vector from the coefficient
-    table ``_phi_columns``.  Distinct count vectors can share a phi vector."""
+    k-decks, computed once per degree-count vector by dot products with
+    ``counting._phi_columns``.  Distinct count vectors can share one."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for counts, indices in _members_by_counts(members).items():
         groups.setdefault(_phi_of_counts(counts, k), []).extend(indices)
@@ -421,9 +409,9 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
     - phi: the deck's degree-occurrence totals must equal those of the
       member's degree counts (this also fixes the edge count, since
       sum_j j * phi(j) = 2e * C(n-2, k-2)).  The family is indexed by
-      phi once per card size and process, from a per-(n, k) table of
-      the coefficients of ``phi_formula``, so this screen is one dict
-      lookup;
+      phi once per card size and process, from the one table of the
+      identity's coefficients, ``counting._phi_columns``, so this screen
+      is one dict lookup;
     - triangles (k >= 3): the member must have sum(mult * t(card)) /
       C(n-3, k-3) triangles, and a total that does not divide means no
       graph realizes the deck;
@@ -534,7 +522,8 @@ class CensusCache:
     with the wrong number of lines, or a class line that is not
     ``digest<TAB>key`` or not greater than the line before it, raises
     ``ValueError`` naming the file (and the line, counting the header
-    as line 1).
+    as line 1) and the remedy: delete it to recompute.  An order
+    outside [1, MAX_CENSUS_ORDER] raises ``ValueError`` naming it.
 
     Every load of a family file hashes its bytes, but each order is
     decoded at most once per process: all loads that match the pin
@@ -566,15 +555,14 @@ class CensusCache:
             raise
 
     def load_family(self, n: int) -> GraphFamily | None:
+        _check_order(n)
         path = self._family_path(n)
         if not path.exists():
             return None
         data = path.read_bytes()
         if hashlib.sha256(data).hexdigest() != FAMILY_SHA256[n - 1]:
-            raise ValueError(
-                f"{path}: not the {GRAPH_COUNTS[n - 1]} graphs on {n} "
-                f"vertices (sha256 differs from its pin)"
-            )
+            wrong = f"not the {GRAPH_COUNTS[n - 1]} graphs on {n} vertices"
+            raise _rejected(path, f"{wrong} (sha256 differs from its pin)")
         family = _DECODED_FAMILIES.get(n)
         if family is None:
             members = tuple(data.decode().split())  # graph6 has no whitespace
@@ -606,8 +594,8 @@ class CensusCache:
         ):
             _raise_at_first_bad_line(path, lines)
         if len(lines) != len(family):
-            raise ValueError(
-                f"{path}: {len(lines)} members, but the family has {len(family)}"
+            raise _rejected(
+                path, f"{len(lines)} members, but the family has {len(family)}"
             )
         fields = "\t".join(lines).split("\t")
         labels, keys = fields[::2], fields[1::2]
@@ -631,6 +619,11 @@ class CensusCache:
         )
 
 
+def _rejected(path: Path, problem: str) -> ValueError:
+    """The error for a cache file that fails a check, with the remedy."""
+    return ValueError(f"{path}: {problem}; delete it to recompute")
+
+
 def _class_header(n: int, k: int, members: int, body: bytes) -> str:
     """The first line of a class file: format version, order, card size,
     member count and the sha256 of the lines below it."""
@@ -645,13 +638,13 @@ def _check_class_header(path: Path, header: str, expected: str) -> None:
         return
     got, want = header.split(" "), expected.split(" ")
     if got[0] != want[0]:
-        raise ValueError(f"{path}: line 1 is not a {want[0]} header")
+        raise _rejected(path, f"line 1 is not a {want[0]} header")
     for field, wanted in zip(got[1:], want[1:]):
         if field != wanted:
             if wanted.startswith("sha256="):
-                raise ValueError(f"{path}: sha256 of the lines differs from the header")
-            raise ValueError(f"{path}: header has {field}, expected {wanted}")
-    raise ValueError(f"{path}: header has {len(got)} fields, expected {len(want)}")
+                raise _rejected(path, "sha256 of the lines differs from the header")
+            raise _rejected(path, f"header has {field}, expected {wanted}")
+    raise _rejected(path, f"header has {len(got)} fields, expected {len(want)}")
 
 
 def _raise_at_first_bad_line(path: Path, lines: list[str]) -> None:
@@ -660,9 +653,9 @@ def _raise_at_first_bad_line(path: Path, lines: list[str]) -> None:
     previous = ""
     for number, line in enumerate(lines, 2):
         if line.count("\t") != 1:
-            raise ValueError(f"{path}: line {number} is not digest<TAB>key")
+            raise _rejected(path, f"line {number} is not digest<TAB>key")
         if line <= previous:
-            raise ValueError(f"{path}: line {number} is out of order")
+            raise _rejected(path, f"line {number} is out of order")
         previous = line
 
 

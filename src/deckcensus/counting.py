@@ -7,14 +7,18 @@ phi(j) through the graph-side degree counts a_i:
 
 with the convention C(p, q) = 0 whenever q < 0 or q > p.  The cutoff is
 load-bearing: a vertex of degree i > l + j has too few non-neighbors to
-appear with degree exactly j on any card.  Back-substituting from
-j = k-1 down to 0 recovers the full degree count vector from a deck once
-the counts of degrees >= k are supplied.
+appear with degree exactly j on any card.  ``_phi_columns`` is the one
+table of these coefficients; every phi here, and the census's phi
+index, is a dot product with one of its columns.  Back-substituting
+from j = k-1 down to 0 recovers the full degree count vector from a
+deck once the counts of degrees >= k are supplied.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import mul
 from typing import Mapping, Sequence
 
 from .decks import Deck, phi_vector
@@ -25,13 +29,6 @@ class InconsistentCountsError(ValueError):
     """The deck is not realizable under the supplied high-degree counts."""
 
 
-def binom(p: int, q: int) -> int:
-    """C(p, q) with the explicit out-of-range-is-zero convention."""
-    if q < 0 or p < 0 or q > p:
-        return 0
-    return math.comb(p, q)
-
-
 def _check_ranges(n: int, k: int, j: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"card size {k} out of range for n={n}")
@@ -39,12 +36,21 @@ def _check_ranges(n: int, k: int, j: int) -> None:
         raise ValueError(f"degree {j} out of range for card size {k}")
 
 
-def _identity_sum(x: Sequence[int], n: int, k: int, j: int, start: int) -> int:
-    """sum of x[i] * C(i, j) * C(n-1-i, k-1-j) over i in [start, j + n - k]."""
-    return sum(
-        x[i] * binom(i, j) * binom(n - 1 - i, k - 1 - j)
-        for i in range(start, j + n - k + 1)
+@lru_cache(maxsize=None)
+def _phi_columns(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The identity's coefficients for n-vertex graphs and k-decks: entry
+    i of column j < k is C(i, j) * C(n-1-i, k-1-j), what one vertex of
+    degree i adds to phi(j); it is zero outside i in [j, j + n - k]."""
+    return tuple(
+        tuple(math.comb(i, j) * math.comb(n - 1 - i, k - 1 - j) for i in range(n))
+        for j in range(k)
     )
+
+
+def _phi_of_counts(counts: Sequence[int], k: int) -> tuple[int, ...]:
+    """The phi vector of the k-deck of any graph with degree counts
+    ``counts``: phi(j) is column j of ``_phi_columns`` dotted with them."""
+    return tuple(sum(map(mul, counts, col)) for col in _phi_columns(len(counts), k))
 
 
 def phi_formula(counts: Sequence[int], n: int, k: int, j: int) -> int:
@@ -54,7 +60,7 @@ def phi_formula(counts: Sequence[int], n: int, k: int, j: int) -> int:
         raise ValueError(f"expected {n} degree counts, got {len(counts)}")
     if any(c < 0 for c in counts) or sum(counts) != n:
         raise ValueError(f"degree counts {tuple(counts)} do not describe {n} vertices")
-    return _identity_sum(counts, n, k, j, j)
+    return sum(map(mul, counts, _phi_columns(n, k)[j]))
 
 
 def reconstruct_degree_list(
@@ -85,13 +91,12 @@ def reconstruct_degree_list(
         raise ValueError("high-degree counts must be nonnegative")
 
     phi = phi_vector(deck)
-    counts = [0] * n
-    for i in range(k, n):
-        counts[i] = high_counts[i]
+    columns = _phi_columns(n, k)
+    counts = [0] * k + [high_counts[i] for i in range(k, n)]
     for j in range(k - 1, -1, -1):
-        known = _identity_sum(counts, n, k, j, j + 1)
-        coeff = binom(n - 1 - j, k - 1 - j)
-        remainder = phi[j] - known
+        # counts[:j + 1] are still zero: subtract what degrees above j add
+        remainder = phi[j] - sum(map(mul, counts, columns[j]))
+        coeff = columns[j][j]
         if remainder < 0 or remainder % coeff:
             raise InconsistentCountsError(
                 f"inconsistent high-degree counts: solving for the count of "
@@ -132,7 +137,7 @@ def phi_diff_residual(diffs: Sequence[int], n: int, k: int, j: int) -> int:
     _check_ranges(n, k, j)
     if len(diffs) != n:
         raise ValueError(f"expected {n} difference entries, got {len(diffs)}")
-    return _identity_sum(diffs, n, k, j, j)
+    return sum(map(mul, diffs, _phi_columns(n, k)[j]))
 
 
 def degree_list_threshold(l: int) -> float:

@@ -3,7 +3,8 @@
 import random
 from collections import Counter
 from itertools import combinations, permutations
-from typing import Iterable
+from math import comb
+from typing import Iterable, Sequence
 
 from deckcensus import canon
 from deckcensus.census import GraphFamily
@@ -12,6 +13,22 @@ from deckcensus.graphs import Graph
 # Published counts of n-vertex graphs up to isomorphism.  Used only as an
 # external sanity cross-check; the in-repo dual enumerators are the oracle.
 KNOWN_GRAPH_COUNTS = (0, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
+
+
+def binom(p: int, q: int) -> int:
+    """C(p, q) with the explicit out-of-range-is-zero convention."""
+    if q < 0 or p < 0 or q > p:
+        return 0
+    return comb(p, q)
+
+
+def phi_term_by_term(x: Sequence[int], n: int, k: int, j: int) -> int:
+    """Reference counting identity: the sum of x[i] * C(i, j) *
+    C(n-1-i, k-1-j) over i in [j, j + n - k], one term at a time."""
+    return sum(
+        x[i] * binom(i, j) * binom(n - 1 - i, k - 1 - j)
+        for i in range(j, j + n - k + 1)
+    )
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:

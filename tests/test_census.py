@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from deckcensus import census
+from deckcensus import census, counting
 from deckcensus.canon import canonical_key
 from deckcensus.census import (
     CensusCache,
@@ -23,7 +23,7 @@ from deckcensus.census import (
     verify_invariant,
 )
 from deckcensus.cli import dispatch
-from deckcensus.counting import phi_formula
+from deckcensus.counting import phi_diff_residual, phi_formula
 from deckcensus.decks import Deck, _key_is_connected, compute_deck, deck_equal
 from deckcensus.decks import entry_text, serialize_deck
 from deckcensus.graphs import (
@@ -38,6 +38,7 @@ from deckcensus.graphs import (
 )
 
 from .helpers import KNOWN_GRAPH_COUNTS, brute_force_family, induced_deck, permuted
+from .helpers import phi_term_by_term
 
 C5K1_KEY = canonical_key(named_graph("cycle5+empty1"))
 KPP_KEY = canonical_key(claw_subdivided(2))
@@ -172,6 +173,16 @@ def test_rewritten_family_file_is_rejected_on_next_load(tmp_path, family5):
     path.write_text("\n".join(reversed(family5.members)) + "\n")
     with pytest.raises(ValueError, match=r"graphs_n5\.g6: .*sha256"):
         cache.load_family(5)
+
+
+def test_family_order_outside_the_pins_is_rejected(tmp_path, family5):
+    cache = CensusCache(tmp_path)
+    cache.store_family(family5)
+    data = (tmp_path / "graphs_n5.g6").read_bytes()
+    for n in (0, 10):
+        (tmp_path / f"graphs_n{n}.g6").write_bytes(data)
+        with pytest.raises(ValueError, match=rf"order must be in \[1, 9\], got {n}$"):
+            cache.load_family(n)
 
 
 def test_parallel_enumeration_matches_serial(family6):
@@ -379,13 +390,26 @@ def _assert_matches_deck_classes(family, card_sizes, members):
 
 
 def test_phi_table_equals_phi_formula(family5, family6, family7, family8):
+    # the one coefficient table, read through each of its three users,
+    # against the identity summed term by term
     families = {5: family5, 6: family6, 7: family7, 8: family8}
     for n in range(1, 9):
         family = families.get(n) or enumerate_graphs(n)
-        for counts in census._members_by_counts(family.members):
-            for k in range(1, n + 1):
-                want = tuple(phi_formula(counts, n, k, j) for j in range(k))
-                assert census._phi_of_counts(counts, k) == want, (counts, k)
+        vectors = list(census._members_by_counts(family.members))
+        for k in range(1, n + 1):
+            # the cutoff: column j is nonzero exactly on [j, j + n - k]
+            for j, column in enumerate(counting._phi_columns(n, k)):
+                support = [i for i, entry in enumerate(column) if entry]
+                assert support == list(range(j, j + n - k + 1)), (n, k, j)
+            for counts in vectors:
+                want = tuple(phi_term_by_term(counts, n, k, j) for j in range(k))
+                assert counting._phi_of_counts(counts, k) == want, (counts, k)
+                assert tuple(phi_formula(counts, n, k, j) for j in range(k)) == want
+                diffs = tuple(a - b for a, b in zip(counts, vectors[0]))
+                residuals = tuple(phi_diff_residual(diffs, n, k, j) for j in range(k))
+                assert residuals == tuple(
+                    phi_term_by_term(diffs, n, k, j) for j in range(k)
+                ), (diffs, k)
 
 
 def test_find_reconstructions_matches_deck_classes_n6(family6):

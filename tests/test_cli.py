@@ -438,9 +438,9 @@ def test_headerless_class_file_is_rejected(tmp_path, capsys):
     path = tmp_path / "classes_n5_k3.tsv"
     # the format before class files had headers: the sorted lines alone
     path.write_text(path.read_text().partition("\n")[2])
-    assert "line 1 is not a #deckcensus-classes header" in _class_error(
-        capsys, argv, path
-    )
+    err = _class_error(capsys, argv, path)
+    assert "line 1 is not a #deckcensus-classes header" in err
+    assert err.endswith("; delete it to recompute\n")
 
 
 def test_class_file_with_a_flipped_label_byte_is_rejected(tmp_path, capsys):

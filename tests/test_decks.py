@@ -15,7 +15,6 @@ import pytest
 from deckcensus import canon
 from deckcensus.canon import canonical_key
 from deckcensus.census import GRAPH_COUNTS
-from deckcensus.counting import binom
 from deckcensus.decks import (
     Deck,
     UnrealizableDeckError,
@@ -44,7 +43,7 @@ from deckcensus.graphs import (
     path_graph,
 )
 
-from .helpers import complement, induced_deck, permuted, random_graph
+from .helpers import binom, complement, induced_deck, permuted, random_graph
 
 
 def reference_deck_sizes(g: Graph, k: int) -> list[int]:

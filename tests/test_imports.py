@@ -22,19 +22,23 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
+    """Module-level imports whose name is never read, or is bound again
+    by a later module-level import, which leaves the earlier one dead."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    imported = {}
+    imported = []
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 if "# noqa: F401" not in lines[alias.lineno - 1]:
-                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.append((name, alias.lineno))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in imported.items()
-            if name not in read]
+    last = {name: line for name, line in imported}
+    return [f"{name} (line {line})" for name, line in imported
+            if name not in read or line != last[name]]
 
 
 def test_scanner_flags_only_unused_names():
@@ -44,11 +48,14 @@ def test_scanner_flags_only_unused_names():
         "import os.path\n"
         "from math import comb as choose, log\n"
         "from json import dumps  # noqa: F401\n"
+        "from math import log\n"
         "def f() -> None:\n"
         "    import re\n"
         "    return sys.argv, log\n"
     )
-    assert unused_imports(source) == ["os (line 3)", "choose (line 4)"]
+    assert unused_imports(source) == [
+        "os (line 2)", "os (line 3)", "choose (line 4)", "log (line 4)",
+    ]
 
 
 def test_no_unused_imports_in_src_and_tests():
