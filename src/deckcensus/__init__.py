@@ -10,7 +10,6 @@ from .canon import canonical_key
 from .census import (
     CensusCache,
     ClassReport,
-    DeckClass,
     GraphFamily,
     Violation,
     count_violations,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import os
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from itertools import combinations, compress, islice, repeat
 from math import comb
 from operator import contains, eq, lt
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import canon
 from .counting import _phi_of_counts
@@ -103,13 +104,6 @@ class GraphFamily:
         return len(self.members)
 
 
-class DeckClass(NamedTuple):
-    """One deck class: its label and its sorted members."""
-
-    digest_hex: str
-    members: tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class Violation:
     key_a: str
@@ -119,34 +113,21 @@ class Violation:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Deck-class partition of a family, optionally with invariant checks.
+    """Deck-class partition of a family.
 
     ``lines`` holds one sorted ``digest<TAB>key`` line per member: the
     body of the class file and of ``classes --format tsv``.  ``shared``
-    holds the classes of two or more members, sorted; only they can
-    hold a violation.  Every other member is a class of its own, so the
-    partition has ``len(lines) - sum(len(c.members) - 1 for c in
-    shared)`` classes, and no object is built for a singleton.
+    holds the sorted members of each class of two or more members, in
+    label order; only they can hold a violation.  Every other member is
+    a class of its own, so the partition has ``len(lines) -
+    sum(len(members) - 1 for members in shared)`` classes, and no object
+    is built for a singleton.
     """
 
     order: int
     card_size: int
     lines: tuple[str, ...]
-    shared: tuple[DeckClass, ...]
-    invariant: str | None = None
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def classes(self) -> tuple[DeckClass, ...]:
-        """Every class, singletons included, sorted by label, then
-        members.  Two classes that share a label stay two classes."""
-        in_shared = {key for cls in self.shared for key in cls.members}
-        singles = [
-            DeckClass(label, (key,))
-            for label, key in (line.split("\t") for line in self.lines)
-            if key not in in_shared
-        ]
-        return tuple(sorted([*self.shared, *singles]))
+    shared: tuple[tuple[str, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +247,11 @@ def deck_classes(
     class TSVs and cache files: a (vanishingly unlikely) collision yields
     two classes that share a label, never a merged class.  The report
     holds every member's ``digest<TAB>key`` line, sorted once here, and
-    a ``DeckClass`` only for each class of two or more members.  A class
-    file names classes by label only, so it is stored only when the
-    labels are pairwise distinct.
+    the members of each class of two or more members.  A class file
+    names classes by label only, so it is stored only when the labels
+    are pairwise distinct.  A cached class file is read instead when it
+    is exactly what this function would store; any other file there is
+    recomputed and overwritten (see ``CensusCache``).
     """
     if not 1 <= k <= family.order:
         raise ValueError(f"card size {k} out of range for order {family.order}")
@@ -284,8 +267,8 @@ def deck_classes(
         by_text.setdefault(text, []).append(key)
     labels = {text: _class_label(text) for text in by_text}
     lines = tuple(sorted(f"{labels[text]}\t{key}" for key, text in rows))
-    shared = tuple(sorted(
-        DeckClass(labels[text], tuple(sorted(members)))
+    shared = tuple(members for _, members in sorted(
+        (labels[text], tuple(sorted(members)))
         for text, members in by_text.items()
         if len(members) > 1
     ))
@@ -325,43 +308,35 @@ def _check_invariant(invariant: str) -> None:
         raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
 
 
-def verify_invariant(report: ClassReport, invariant: str) -> ClassReport:
-    """Attach every in-class pair that disagrees on ``invariant``.
+def verify_invariant(report: ClassReport, invariant: str) -> tuple[Violation, ...]:
+    """Every in-class pair that disagrees on ``invariant``, sorted.
 
     Only the shared classes are read (a singleton has no pair), and each
     of their members is decoded once.
     """
     _check_invariant(invariant)
     violations: list[Violation] = []
-    for cls in report.shared:
-        valued = [(key, _member_value(invariant, key)) for key in cls.members]
+    for members in report.shared:
+        valued = [(key, _member_value(invariant, key)) for key in members]
         for (key_a, value_a), (key_b, value_b) in combinations(valued, 2):
             witness = _pair_witness(invariant, value_a, value_b)
             if witness is not None:
                 violations.append(Violation(key_a, key_b, witness))
     violations.sort(key=lambda v: (v.key_a, v.key_b))
-    return ClassReport(
-        report.order,
-        report.card_size,
-        report.lines,
-        report.shared,
-        invariant,
-        tuple(violations),
-    )
+    return tuple(violations)
 
 
 def count_violations(report: ClassReport, invariant: str) -> int:
-    """How many pairs ``verify_invariant`` would attach, counted without
+    """How many pairs ``verify_invariant`` would return, counted without
     listing them: a shared class of m members on which ``invariant``
     takes each value v c_v times has C(m, 2) - sum_v C(c_v, 2)
     disagreeing pairs.  Linear in the shared members, so it also serves
     classes too large to list."""
     _check_invariant(invariant)
     count = 0
-    for cls in report.shared:
-        m = len(cls.members)
-        values = Counter(_member_value(invariant, key) for key in cls.members)
-        count += comb(m, 2) - sum(comb(c, 2) for c in values.values())
+    for members in report.shared:
+        values = Counter(_member_value(invariant, key) for key in members)
+        count += comb(len(members), 2) - sum(comb(c, 2) for c in values.values())
     return count
 
 
@@ -516,20 +491,23 @@ class CensusCache:
     ``#deckcensus-classes v1 n=N k=K members=M sha256=H``, where H is
     the sha256 of the rest of the file: ``digestHex<TAB>canonicalKey``
     lines sorted by digest then key.  Files are written atomically
-    (write-then-rename).  A family file whose sha256 is not its pin in
-    ``FAMILY_SHA256``, a class file whose header does not name this
-    format, order, card size, member count and body hash, a class file
-    with the wrong number of lines, or a class line that is not
-    ``digest<TAB>key`` or not greater than the line before it, raises
-    ``ValueError`` naming the file (and the line, counting the header
-    as line 1) and the remedy: delete it to recompute.  An order
-    outside [1, MAX_CENSUS_ORDER] raises ``ValueError`` naming it.
+    (write-then-rename).
+
+    The pins in ``FAMILY_SHA256`` are the trust root: a family file
+    whose sha256 is not its pin raises ``ValueError`` naming the file
+    and the remedy, delete it to recompute.  An order outside
+    [1, MAX_CENSUS_ORDER] raises ``ValueError`` naming it.  A class
+    file is derived from the family, so one that is not exactly what
+    ``store_classes`` writes for this family and card size (its header,
+    then one line per member with one tab each, strictly increasing)
+    is reported on one stderr line and treated as missing, and
+    ``deck_classes`` recomputes and overwrites it.
 
     Every load of a family file hashes its bytes, but each order is
     decoded at most once per process: all loads that match the pin
     return the same ``GraphFamily``.  The memo is keyed by verified
     content, so it never goes stale.  A class file is checked with
-    whole-list operations, and a reload builds a ``DeckClass`` only for
+    whole-list operations, and a reload builds a member tuple only for
     each run of two or more lines with one label.
     """
 
@@ -562,7 +540,9 @@ class CensusCache:
         data = path.read_bytes()
         if hashlib.sha256(data).hexdigest() != FAMILY_SHA256[n - 1]:
             wrong = f"not the {GRAPH_COUNTS[n - 1]} graphs on {n} vertices"
-            raise _rejected(path, f"{wrong} (sha256 differs from its pin)")
+            raise ValueError(
+                f"{path}: {wrong} (sha256 differs from its pin); delete it to recompute"
+            )
         family = _DECODED_FAMILIES.get(n)
         if family is None:
             members = tuple(data.decode().split())  # graph6 has no whitespace
@@ -579,24 +559,21 @@ class CensusCache:
         if not path.exists():
             return None
         header, _, body = path.read_bytes().partition(b"\n")
-        _check_class_header(
-            path, header.decode(errors="replace"),
-            _class_header(family.order, k, len(family), body),
-        )
-        lines = body.decode().split("\n")
-        if not lines[-1]:
-            lines.pop()
-        # exactly one tab on every line, and every line greater than the last
+        lines = body.decode(errors="replace").split("\n")
+        last = lines.pop()  # empty when the body ends in a newline
+        # exactly what ``store_classes`` writes: this header, then one line
+        # per member, each with one tab, each greater than the last
         if not (
-            body.count(b"\t") == len(lines)
+            header == _class_header(family.order, k, len(family), body).encode()
+            and not last
+            and len(lines) == len(family)
+            and body.count(b"\t") == len(lines)
             and all(map(contains, lines, repeat("\t")))
             and all(map(lt, lines, islice(lines, 1, None)))
         ):
-            _raise_at_first_bad_line(path, lines)
-        if len(lines) != len(family):
-            raise _rejected(
-                path, f"{len(lines)} members, but the family has {len(family)}"
-            )
+            print(f"{path}: not this census's class file; recomputing it",
+                  file=sys.stderr)
+            return None
         fields = "\t".join(lines).split("\t")
         labels, keys = fields[::2], fields[1::2]
         runs: list[list[int]] = []  # [first, last] line of each shared class
@@ -606,7 +583,7 @@ class CensusCache:
                 runs[-1][1] = i + 1
             else:
                 runs.append([i, i + 1])
-        shared = tuple(DeckClass(labels[a], tuple(keys[a : b + 1])) for a, b in runs)
+        shared = tuple(tuple(keys[a : b + 1]) for a, b in runs)
         return ClassReport(family.order, k, tuple(lines), shared)
 
     def store_classes(self, report: ClassReport) -> None:
@@ -619,44 +596,11 @@ class CensusCache:
         )
 
 
-def _rejected(path: Path, problem: str) -> ValueError:
-    """The error for a cache file that fails a check, with the remedy."""
-    return ValueError(f"{path}: {problem}; delete it to recompute")
-
-
 def _class_header(n: int, k: int, members: int, body: bytes) -> str:
     """The first line of a class file: format version, order, card size,
     member count and the sha256 of the lines below it."""
     digest = hashlib.sha256(body).hexdigest()
     return f"#deckcensus-classes v1 n={n} k={k} members={members} sha256={digest}"
-
-
-def _check_class_header(path: Path, header: str, expected: str) -> None:
-    """Raise, naming the file and the first field that differs, unless
-    ``header`` is ``expected``."""
-    if header == expected:
-        return
-    got, want = header.split(" "), expected.split(" ")
-    if got[0] != want[0]:
-        raise _rejected(path, f"line 1 is not a {want[0]} header")
-    for field, wanted in zip(got[1:], want[1:]):
-        if field != wanted:
-            if wanted.startswith("sha256="):
-                raise _rejected(path, "sha256 of the lines differs from the header")
-            raise _rejected(path, f"header has {field}, expected {wanted}")
-    raise _rejected(path, f"header has {len(got)} fields, expected {len(want)}")
-
-
-def _raise_at_first_bad_line(path: Path, lines: list[str]) -> None:
-    """Raise for the first class line that is not ``digest<TAB>key`` or
-    not greater than the line before it (file line numbers)."""
-    previous = ""
-    for number, line in enumerate(lines, 2):
-        if line.count("\t") != 1:
-            raise _rejected(path, f"line {number} is not digest<TAB>key")
-        if line <= previous:
-            raise _rejected(path, f"line {number} is out of order")
-        previous = line
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +610,7 @@ def _raise_at_first_bad_line(path: Path, lines: list[str]) -> None:
 def summary_line(report: ClassReport, violations: int | None = None) -> str:
     """The one-line summary of a class report, with a violation count
     when one is given."""
-    merged = sum(len(cls.members) - 1 for cls in report.shared)
+    merged = sum(len(members) - 1 for members in report.shared)
     line = f"n={report.order} k={report.card_size} classes={len(report.lines) - merged}"
     if violations is not None:
         line += f" violations={violations}"
@@ -676,19 +620,11 @@ def summary_line(report: ClassReport, violations: int | None = None) -> str:
 def emit_report(report: ClassReport, fmt: str = "summary") -> str:
     """Render a class report deterministically.
 
-    ``summary`` is a single line; ``tsv`` lists classes (or violations,
-    when an invariant was checked) under a header line.
+    ``summary`` is a single line; ``tsv`` lists every member's
+    ``digest<TAB>key`` line under a header line.
     """
     if fmt == "summary":
-        checked = report.invariant is not None
-        return summary_line(report, len(report.violations) if checked else None)
+        return summary_line(report)
     if fmt == "tsv":
-        if report.invariant is not None:
-            lines = ["key_a\tkey_b\twitness"]
-            lines += [
-                f"{v.key_a}\t{v.key_b}\t{v.witness}" for v in report.violations
-            ]
-        else:
-            lines = ["digest\tkey", *report.lines]
-        return "\n".join(lines) + "\n"
+        return "\n".join(["digest\tkey", *report.lines]) + "\n"
     raise ValueError(f"unknown format {fmt!r}; choose summary or tsv")

@@ -114,9 +114,8 @@ def _parse_high(text: str, k: int, n: int) -> dict[int, int]:
 
 def _run_degrees(args, parser, out) -> None:
     deck = _deck_from_args(args, parser)
-    n = deck.origin_order
-    high = _parse_high(args.high, deck.card_size, n)
-    counts = counting.reconstruct_degree_list(deck, n, high)
+    high = _parse_high(args.high, deck.card_size, deck.origin_order)
+    counts = counting.reconstruct_degree_list(deck, high)
     if args.format == "tsv":
         out.write("degree\tcount\n")
         for i, c in enumerate(counts):
@@ -147,8 +146,9 @@ def _run_census(args, parser, out) -> None:
     if args.command == "classes":
         out.write(census.emit_report(report, args.format))
     elif args.format == "tsv":
-        report = census.verify_invariant(report, args.invariant)
-        out.write(census.emit_report(report, "tsv"))
+        rows = [f"{v.key_a}\t{v.key_b}\t{v.witness}\n"
+                for v in census.verify_invariant(report, args.invariant)]
+        out.write("key_a\tkey_b\twitness\n" + "".join(rows))
     else:
         # counted per class, so a class of thousands lists no pairs
         count = census.count_violations(report, args.invariant)

@@ -64,9 +64,10 @@ def phi_formula(counts: Sequence[int], n: int, k: int, j: int) -> int:
 
 
 def reconstruct_degree_list(
-    deck: Deck, n: int, high_counts: Mapping[int, int]
+    deck: Deck, high_counts: Mapping[int, int]
 ) -> tuple[int, ...]:
-    """Recover the degree count vector of a deck's realizations.
+    """Recover the degree count vector of a deck's realizations, which
+    have the deck's origin order n.
 
     ``high_counts`` must give a_i for every i in [k, n-1]; the low
     counts are then forced one at a time by solving the counting
@@ -78,9 +79,7 @@ def reconstruct_degree_list(
     out negative or fractional, or the final vector is not a degree
     count vector of an n-vertex graph.
     """
-    k = deck.card_size
-    if deck.origin_order != n:
-        raise ValueError(f"deck has origin order {deck.origin_order}, expected {n}")
+    k, n = deck.card_size, deck.origin_order
     missing = [i for i in range(k, n) if i not in high_counts]
     if missing:
         raise ValueError(f"high_counts missing degrees {missing}")

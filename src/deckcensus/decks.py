@@ -274,17 +274,19 @@ def serialize_deck(deck: Deck) -> str:
 
 
 def parse_deck(text: str) -> Deck:
-    """Inverse of :func:`serialize_deck`, with full validation: every card
-    key must be the canonical key of its card."""
+    """Inverse of :func:`serialize_deck`, with full validation: the header
+    holds exactly the fields k and n, once each and in either order, and
+    every card key must be the canonical key of its card."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty deck text")
     header = lines[0].split()
     try:
         fields = dict(item.split("=", 1) for item in header)
-        k = int(fields["k"])
-        n = int(fields["n"])
-    except (ValueError, KeyError) as exc:
+        if len(header) != 2 or fields.keys() != {"k", "n"}:
+            raise ValueError
+        k, n = int(fields["k"]), int(fields["n"])
+    except ValueError as exc:
         raise ValueError(f"bad deck header {lines[0]!r}") from exc
     entries: dict[str, int] = {}
     for line in lines[1:]:

@@ -7,7 +7,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from deckcensus import canon
-from deckcensus.census import GraphFamily
+from deckcensus.census import ClassReport, GraphFamily
 from deckcensus.graphs import Graph
 
 # Published counts of n-vertex graphs up to isomorphism.  Used only as an
@@ -29,6 +29,18 @@ def phi_term_by_term(x: Sequence[int], n: int, k: int, j: int) -> int:
         x[i] * binom(i, j) * binom(n - 1 - i, k - 1 - j)
         for i in range(j, j + n - k + 1)
     )
+
+
+def partition(report: ClassReport) -> tuple[tuple[str, ...], ...]:
+    """Every deck class of ``report``, singletons included, as its sorted
+    members; the classes in sorted order.  Two classes that share a label
+    stay two classes."""
+    in_shared = {key for members in report.shared for key in members}
+    singles = [
+        (key,) for key in (line.split("\t")[1] for line in report.lines)
+        if key not in in_shared
+    ]
+    return tuple(sorted([*report.shared, *singles]))
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:

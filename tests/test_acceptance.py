@@ -35,7 +35,7 @@ from deckcensus.graphs import (
     path_graph,
 )
 
-from .helpers import brute_force_family
+from .helpers import brute_force_family, partition
 
 CRITERIA = {
     1: "golden 3-deck of C5+K1 and equality with the doubly subdivided claw",
@@ -102,36 +102,34 @@ def test_criterion_03_degree_list_census_n7(family7):
     assert brute_force_family(6) == enumerate_graphs(6)
     assert len(family7) == 1044
     report = deck_classes(family7, 4)
-    checked = verify_invariant(report, "degree_list")
-    assert checked.violations == ()
+    assert verify_invariant(report, "degree_list") == ()
     assert time.time() - start < 120
     _record(3)
 
 
 def test_criterion_04_connectedness_census_n7(family7):
     report = deck_classes(family7, 4)
-    checked = verify_invariant(report, "connectedness")
-    assert checked.violations == ()
+    assert verify_invariant(report, "connectedness") == ()
     _record(4)
 
 
 def test_criterion_05_n6_and_n5_censuses(family5, family6):
     start = time.time()
     rep64 = deck_classes(family6, 4)
-    assert verify_invariant(rep64, "degree_list").violations == ()
-    assert verify_invariant(rep64, "connectedness").violations == ()
+    assert verify_invariant(rep64, "degree_list") == ()
+    assert verify_invariant(rep64, "connectedness") == ()
 
     rep63 = deck_classes(family6, 3)
     pair6 = tuple(sorted([canonical_key(C5K1), canonical_key(KPP)]))
     for invariant in ("degree_list", "connectedness"):
-        violations = verify_invariant(rep63, invariant).violations
+        violations = verify_invariant(rep63, invariant)
         assert violations
         assert pair6 in {(v.key_a, v.key_b) for v in violations}
 
     rep53 = deck_classes(family5, 3)
     pair5 = tuple(sorted([canonical_key(C4K1), canonical_key(KP)]))
     for invariant in ("degree_list", "connectedness"):
-        violations = verify_invariant(rep53, invariant).violations
+        violations = verify_invariant(rep53, invariant)
         assert pair5 in {(v.key_a, v.key_b) for v in violations}
     assert time.time() - start < 30
     _record(5)
@@ -141,7 +139,7 @@ def test_criterion_06_two_reconstructibility(family6, family7, family8):
     start = time.time()
     for family in (family6, family7, family8):
         report = deck_classes(family, family.order - 2)
-        assert all(len(cls.members) == 1 for cls in report.classes)
+        assert report.shared == ()  # every class is a singleton
     assert time.time() - start < 1800
     _record(6)
 
@@ -166,7 +164,7 @@ def test_criterion_08_degree_recovery_roundtrip(family7):
         g = from_graph6(key)
         counts = degree_counts(g)
         high = {i: counts[i] for i in range(4, 7)}
-        assert reconstruct_degree_list(compute_deck(g, 4), 7, high) == counts
+        assert reconstruct_degree_list(compute_deck(g, 4), high) == counts
     assert time.time() - start < 300
     _record(8)
 
@@ -194,8 +192,7 @@ def test_criterion_10_difference_residuals(family5, family6, family7):
     pairs_checked = 0
     for report in reports:
         n, k = report.order, report.card_size
-        for cls in report.classes:
-            members = cls.members
+        for members in report.shared:  # a singleton class has no pair
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     g = from_graph6(members[i])
@@ -225,14 +222,14 @@ def test_criterion_12_n8_censuses(family8):
     start = time.time()
     # l = 3: every 5-deck class agrees on both invariants
     rep85 = deck_classes(family8, 5)
-    assert len(rep85.classes) == 12342
-    assert verify_invariant(rep85, "degree_list").violations == ()
-    assert verify_invariant(rep85, "connectedness").violations == ()
+    assert len(partition(rep85)) == 12342
+    assert verify_invariant(rep85, "degree_list") == ()
+    assert verify_invariant(rep85, "connectedness") == ()
     # l = 4 is sharp: 4-deck classes split on both
     rep84 = deck_classes(family8, 4)
-    assert len(rep84.classes) == 11297
-    assert len(verify_invariant(rep84, "degree_list").violations) == 6
-    connectedness = verify_invariant(rep84, "connectedness").violations
+    assert len(partition(rep84)) == 11297
+    assert len(verify_invariant(rep84, "degree_list")) == 6
+    connectedness = verify_invariant(rep84, "connectedness")
     assert len(connectedness) == 4
     assert ("G?Che?", "G?Cid?") in {(v.key_a, v.key_b) for v in connectedness}
     assert time.time() - start < 300

@@ -37,7 +37,13 @@ from deckcensus.graphs import (
     to_graph6,
 )
 
-from .helpers import KNOWN_GRAPH_COUNTS, brute_force_family, induced_deck, permuted
+from .helpers import (
+    KNOWN_GRAPH_COUNTS,
+    brute_force_family,
+    induced_deck,
+    partition,
+    permuted,
+)
 from .helpers import phi_term_by_term
 
 C5K1_KEY = canonical_key(named_graph("cycle5+empty1"))
@@ -191,15 +197,15 @@ def test_parallel_enumeration_matches_serial(family6):
 
 def test_deck_classes_partition(family5, family6):
     rep = deck_classes(family5, 3)
-    all_members = sorted(key for cls in rep.classes for key in cls.members)
+    all_members = sorted(key for members in partition(rep) for key in members)
     assert all_members == list(family5.members)
     # the subdivided claw shares its class with the 4-cycle plus isolated
-    cls = next(c for c in rep.classes if C4K1_KEY in c.members)
-    assert KP_KEY in cls.members
+    members = next(c for c in partition(rep) if C4K1_KEY in c)
+    assert KP_KEY in members
 
     rep6 = deck_classes(family6, 3)
-    cls6 = next(c for c in rep6.classes if C5K1_KEY in c.members)
-    assert KPP_KEY in cls6.members
+    members6 = next(c for c in partition(rep6) if C5K1_KEY in c)
+    assert KPP_KEY in members6
 
 
 def test_deck_classes_jobs_parity(family6):
@@ -289,22 +295,20 @@ def test_class_label_is_stable():
 
 def test_grouping_never_reads_the_label(monkeypatch, family6):
     monkeypatch.setattr(census, "_class_label", lambda text: "0" * 32)
-    assert len(deck_classes(family6, 3).classes) == 112
-    assert len(deck_classes(family6, 4).classes) == 156
+    assert len(partition(deck_classes(family6, 3))) == 112
+    assert len(partition(deck_classes(family6, 4))) == 156
 
 
 def test_colliding_labels_are_never_stored(monkeypatch, tmp_path, family5):
     # a class file names classes by label only, so a reload would merge
     # classes that share one
-    expected = deck_classes(family5, 3).classes
+    expected = partition(deck_classes(family5, 3))
     monkeypatch.setattr(census, "_class_label", lambda text: "0" * 32)
     cache = CensusCache(tmp_path)
     first = deck_classes(family5, 3, cache=cache)
     assert not (tmp_path / "classes_n5_k3.tsv").exists()
-    assert deck_classes(family5, 3, cache=cache).classes == first.classes
-    assert sorted(c.members for c in first.classes) == sorted(
-        c.members for c in expected
-    )
+    assert partition(deck_classes(family5, 3, cache=cache)) == partition(first)
+    assert partition(first) == expected
 
 
 def test_entry_text_is_deck_identity(family6):
@@ -317,7 +321,7 @@ def test_entry_text_is_deck_identity(family6):
             assert serialize_deck(deck) == f"k={k} n=6\n{text}\n"
             for other, other_text in zip(decks[i + 1:], texts[i + 1:]):
                 assert (text == other_text) == (deck == other), (k, i)
-        assert len(set(texts)) == len(deck_classes(family6, k).classes)
+        assert len(set(texts)) == len(partition(deck_classes(family6, k)))
         for key, text in list(zip(family6.members, texts))[::31]:
             out = io.StringIO()
             assert dispatch(["deck", "--g6", key, "-k", str(k), "--format", "tsv"],
@@ -327,36 +331,36 @@ def test_entry_text_is_deck_identity(family6):
 
 def test_n6_k4_classes_all_singletons(family6):
     rep = deck_classes(family6, 4)
-    assert all(len(c.members) == 1 for c in rep.classes)
+    assert all(len(members) == 1 for members in partition(rep))
 
 
 def test_verify_invariant_reports(family6):
     rep = deck_classes(family6, 3)
     deg = verify_invariant(rep, "degree_list")
     conn = verify_invariant(rep, "connectedness")
-    assert _pair(C5K1_KEY, KPP_KEY) in {(v.key_a, v.key_b) for v in deg.violations}
-    conn_pairs = {(v.key_a, v.key_b) for v in conn.violations}
+    assert _pair(C5K1_KEY, KPP_KEY) in {(v.key_a, v.key_b) for v in deg}
+    conn_pairs = {(v.key_a, v.key_b) for v in conn}
     assert _pair(C5K1_KEY, KPP_KEY) in conn_pairs
     witness = next(
         v.witness
-        for v in conn.violations
+        for v in conn
         if (v.key_a, v.key_b) == _pair(C5K1_KEY, KPP_KEY)
     )
     assert "connected" in witness and "disconnected" in witness
     # violations come out ordered for stable reports
-    assert all(v.key_a < v.key_b for v in deg.violations)
-    assert [(v.key_a, v.key_b) for v in deg.violations] == sorted(
-        (v.key_a, v.key_b) for v in deg.violations
+    assert all(v.key_a < v.key_b for v in deg)
+    assert [(v.key_a, v.key_b) for v in deg] == sorted(
+        (v.key_a, v.key_b) for v in deg
     )
     with pytest.raises(ValueError):
         verify_invariant(rep, "chromatic_number")
 
 
 def test_isomorphism_invariant_counts_shared_decks(family5):
-    rep = verify_invariant(deck_classes(family5, 4), "isomorphism")
-    assert not rep.violations  # 5-vertex graphs are singled out by 4-decks
-    rep3 = verify_invariant(deck_classes(family5, 3), "isomorphism")
-    assert _pair(C4K1_KEY, KP_KEY) in {(v.key_a, v.key_b) for v in rep3.violations}
+    # 5-vertex graphs are singled out by 4-decks
+    assert verify_invariant(deck_classes(family5, 4), "isomorphism") == ()
+    violations = verify_invariant(deck_classes(family5, 3), "isomorphism")
+    assert _pair(C4K1_KEY, KP_KEY) in {(v.key_a, v.key_b) for v in violations}
 
 
 def test_find_reconstructions_exhaustive(family6):
@@ -379,9 +383,9 @@ def test_find_reconstructions_always_contains_origin(family6):
 def _assert_matches_deck_classes(family, card_sizes, members):
     for k in card_sizes:
         classes = {
-            key: cls.members
-            for cls in deck_classes(family, k).classes
-            for key in cls.members
+            key: members
+            for members in partition(deck_classes(family, k))
+            for key in members
         }
         for key in members:
             deck = compute_deck(from_graph6(key), k)
@@ -428,8 +432,8 @@ def test_find_reconstructions_matches_deck_classes_n8(family8):
 def test_four_deck_screen_spares_the_k_decks(monkeypatch, family7):
     # a member alone in its 4-deck class: every other candidate that
     # passes the phi and triangle screens fails on its 4-deck
-    singles = [cls.members[0] for cls in deck_classes(family7, 4).classes
-               if len(cls.members) == 1]
+    singles = [members[0] for members in partition(deck_classes(family7, 4))
+               if len(members) == 1]
     built = []
 
     def counted(g, k):
@@ -547,9 +551,9 @@ def test_cache_roundtrip(tmp_path, family5):
     assert lines == sorted(lines)
     assert all(len(line.split("\t")) == 2 for line in lines)
     reloaded = deck_classes(fam, 3, cache=cache)
-    assert reloaded.classes == rep.classes
+    assert reloaded == rep
     with pytest.raises(AttributeError):
-        reloaded.classes[0].members = ()
+        reloaded.shared = ()
 
 
 def test_reload_builds_only_shared_classes(tmp_path, family5, family6):
@@ -560,18 +564,19 @@ def test_reload_builds_only_shared_classes(tmp_path, family5, family6):
             cold = deck_classes(family, k, cache=cache)
             assert (tmp_path / f"classes_n{n}_k{k}.tsv").exists()
             warm = deck_classes(family, k, cache=cache)
-            assert warm.lines == cold.lines
-            assert warm.shared == tuple(c for c in cold.classes if len(c.members) >= 2)
-            assert warm.classes == cold.classes
+            assert warm == cold
             # the partition, grouped here by deck text and labeled directly
             by_text = {}
             for key in family.members:
                 text = entry_text(compute_deck(from_graph6(key), k).entries)
                 by_text.setdefault(text, []).append(key)
-            assert warm.classes == tuple(sorted(
-                census.DeckClass(census._class_label(text), tuple(members))
+            labeled = sorted(
+                (census._class_label(text), tuple(members))
                 for text, members in by_text.items()
-            ))
+            )
+            assert partition(warm) == tuple(sorted(c for _, c in labeled))
+            # only the classes of two or more members, in label order
+            assert warm.shared == tuple(c for _, c in labeled if len(c) >= 2)
             assert census.summary_line(warm) == f"n={n} k={k} classes={len(by_text)}\n"
 
 
@@ -579,75 +584,67 @@ def test_class_count_keeps_colliding_classes_apart(monkeypatch, family6):
     monkeypatch.setattr(census, "_class_label", lambda text: "0" * 32)
     rep = deck_classes(family6, 3)
     assert census.summary_line(rep) == "n=6 k=3 classes=112\n"
-    assert all(len(cls.members) >= 2 for cls in rep.shared)
-    assert sorted(key for cls in rep.classes for key in cls.members) == list(
+    assert all(len(members) >= 2 for members in rep.shared)
+    assert sorted(key for members in partition(rep) for key in members) == list(
         family6.members
     )
 
 
-def _forge_class_file(path, n, k, members, lines):
-    """A class file holding ``lines`` under a header that matches them."""
-    body = "".join(line + "\n" for line in lines)
-    path.write_text(census._class_header(n, k, members, body.encode()) + "\n" + body)
+# Damages of classes_n5_k3.tsv (n = 5, k = 3, 34 members): a wrong
+# header over the stored lines ...
+HEADER_DAMAGES = {
+    "version": lambda header: header.replace(" v1 ", " v0 "),
+    "members": lambda header: header.replace("members=34", "members=33"),
+    "sha256": lambda header: header.replace("sha256=", "sha256=0"),
+    "extra-field": lambda header: header + " extra",
+    "empty-header": lambda header: "",
+}
+# ... and wrong lines behind a header that matches them
+LINE_DAMAGES = {
+    "no-tab": lambda ls: ls[:3] + ["no tab here"] + ls[4:],
+    "two-tabs": lambda ls: ls[:3] + [ls[3] + "\tx"] + ls[4:],
+    # one line with a tab too many and another one short of a tab
+    "tab-moved": lambda ls: (
+        ls[:2] + [ls[2] + "\tx"] + ls[3:5] + [ls[5].replace("\t", "")] + ls[6:]),
+    "swapped-lines": lambda ls: ls[:3] + [ls[4], ls[3]] + ls[5:],
+    "repeated-line": lambda ls: ls[:4] + [ls[3]] + ls[5:],
+    "one-line-short": lambda ls: ls[:-1],
+    "one-line-long": lambda ls: ls + ["ffffffffffffffffffffffffffffffff\tD~{"],
+}
 
 
-def test_class_header_names_the_first_wrong_field(tmp_path, family5):
+def _damaged(damage, header, lines):
+    """The text of classes_n5_k3.tsv after ``damage``."""
+    if damage in HEADER_DAMAGES:
+        return HEADER_DAMAGES[damage](header) + "\n" + "".join(
+            line + "\n" for line in lines)
+    body = "".join(line + "\n" for line in LINE_DAMAGES[damage](lines))
+    return census._class_header(5, 3, 34, body.encode()) + "\n" + body
+
+
+@pytest.mark.parametrize("damage", [*HEADER_DAMAGES, *LINE_DAMAGES])
+def test_damaged_class_file_is_recomputed(tmp_path, capsys, family5, damage):
     cache = CensusCache(tmp_path)
     report = deck_classes(family5, 3, cache=cache)
     path = tmp_path / "classes_n5_k3.tsv"
-    header, _, body = path.read_text().partition("\n")
-    cases = [
-        (header.replace(" v1 ", " v0 "), "header has v0, expected v1"),
-        (header.replace("members=34", "members=33"),
-         "header has members=33, expected members=34"),
-        (header.replace("sha256=", "sha256=0"),
-         "sha256 of the lines differs from the header"),
-        (header + " extra", "header has 7 fields, expected 6"),
-        ("", "line 1 is not a #deckcensus-classes header"),
-    ]
-    for bad, message in cases:
-        path.write_text(bad + "\n" + body)
-        with pytest.raises(ValueError, match=message) as caught:
-            cache.load_classes(family5, 3)
-        assert str(path) in str(caught.value)
-    path.write_text(header + "\n" + body)
+    stored = path.read_bytes()
+    header, *lines = stored.decode().splitlines()
+    path.write_text(_damaged(damage, header, lines))
+    assert cache.load_classes(family5, 3) is None
+    assert str(path) in capsys.readouterr().err
+    # the recompute overwrites the file with what a fresh cache stores
+    assert deck_classes(family5, 3, cache=cache) == report
+    assert str(path) in capsys.readouterr().err
+    assert path.read_bytes() == stored
     assert cache.load_classes(family5, 3) == report
-
-
-def test_class_lines_are_checked_behind_a_valid_header(tmp_path, family5):
-    cache = CensusCache(tmp_path)
-    lines = list(deck_classes(family5, 3, cache=cache).lines)
-    path = tmp_path / "classes_n5_k3.tsv"
-    no_tab = lines[5].replace("\t", "")
-    cases = [
-        (lines[:3] + ["no tab here"] + lines[4:], "line 5 is not digest<TAB>key"),
-        (lines[:3] + [lines[3] + "\tx"] + lines[4:], "line 5 is not digest<TAB>key"),
-        # one line short of a tab and another with one too many
-        (lines[:2] + [lines[2] + "\tx"] + lines[3:5] + [no_tab] + lines[6:],
-         "line 4 is not digest<TAB>key"),
-        (lines[:3] + [lines[4], lines[3]] + lines[5:], "line 6 is out of order"),
-        (lines[:4] + [lines[3]] + lines[5:], "line 6 is out of order"),
-        (lines[:-1], "33 members, but the family has 34"),
-        (lines + ["ffffffffffffffffffffffffffffffff\tD~{"],
-         "35 members, but the family has 34"),
-    ]
-    for body, message in cases:
-        _forge_class_file(path, 5, 3, 34, body)
-        with pytest.raises(ValueError, match=message) as caught:
-            cache.load_classes(family5, 3)
-        assert str(path) in str(caught.value)
-    _forge_class_file(path, 5, 3, 34, lines)
-    assert cache.load_classes(family5, 3) == deck_classes(family5, 3)
+    assert capsys.readouterr().err == ""
 
 
 def test_emit_report_formats(family5):
     rep = deck_classes(family5, 3)
     summary = emit_report(rep, "summary")
-    assert summary == f"n=5 k=3 classes={len(rep.classes)}\n"
-    checked = verify_invariant(rep, "degree_list")
-    line = emit_report(checked, "summary")
-    assert line.startswith("n=5 k=3 classes=") and "violations=" in line
-    tsv = emit_report(checked, "tsv")
-    assert tsv.splitlines()[0] == "key_a\tkey_b\twitness"
+    assert summary == f"n=5 k=3 classes={len(partition(rep))}\n"
+    tsv = emit_report(rep, "tsv")
+    assert tsv == "digest\tkey\n" + "".join(line + "\n" for line in rep.lines)
     with pytest.raises(ValueError):
         emit_report(rep, "yaml")

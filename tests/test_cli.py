@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import hashlib
 import io
 import os
 import shlex
@@ -376,78 +377,53 @@ def test_family_file_without_final_newline_is_rejected(tmp_path, capsys, family6
     _error_names(capsys, _verify_n6(tmp_path), path)
 
 
-def test_garbage_class_file_is_rejected(tmp_path, capsys):
-    argv = ["classes", "-n", "5", "-k", "3", "--cache-dir", str(tmp_path)]
-    assert run(argv)[0] == 0
-    path = tmp_path / "classes_n5_k3.tsv"
-    path.write_text("not a class line\n")
-    _error_names(capsys, argv, path)
+def _class_file(cache, n=5, k=3):
+    return cache / f"classes_n{n}_k{k}.tsv"
 
 
-def test_truncated_class_file_is_rejected(tmp_path, capsys):
-    argv = ["classes", "-n", "5", "-k", "3", "--cache-dir", str(tmp_path)]
-    assert run(argv)[0] == 0
-    path = tmp_path / "classes_n5_k3.tsv"
+def _garbage(cache):
+    _class_file(cache).write_text("not a class line\n")
+    return _class_file(cache)
+
+
+def _truncated(cache):
+    path = _class_file(cache)
     path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
-    _error_names(capsys, argv, path)
+    return path
 
 
-def test_regrouped_class_file_is_rejected(tmp_path, capsys):
-    argv = ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list",
-            "--cache-dir", str(tmp_path)]
-    assert run(argv) == (0, "n=5 k=3 classes=32 violations=2\n")
-    path = tmp_path / "classes_n5_k3.tsv"
-    lines = path.read_text().splitlines()
+def _regrouped(cache):
+    # every member under the first member's label, behind the stored header
+    path = _class_file(cache)
+    header, *lines = path.read_text().splitlines()
     first = lines[0].split("\t")[0]
-    path.write_text("".join(f"{first}\t{line.split()[1]}\n" for line in lines))
-    _error_names(capsys, argv, path)
+    path.write_text(header + "\n" + "".join(
+        f"{first}\t{line.split()[1]}\n" for line in lines))
+    return path
 
 
-def _class_error(capsys, argv, path):
-    """Run ``argv``, which must exit 1 naming ``path``; return stderr."""
-    status, _ = run(argv)
-    assert status == 1
-    err = capsys.readouterr().err
-    assert str(path) in err
-    return err
+def _under_another_k(cache):
+    assert run(["classes", "-n", "5", "-k", "3", "--cache-dir", str(cache)])[0] == 0
+    path = _class_file(cache, k=4)
+    path.write_bytes(_class_file(cache).read_bytes())
+    return path
 
 
-def test_class_file_under_another_k_is_rejected(tmp_path, capsys):
-    assert run(["classes", "-n", "5", "-k", "3", "--cache-dir", str(tmp_path)])[0] == 0
-    path = tmp_path / "classes_n5_k4.tsv"
-    path.write_bytes((tmp_path / "classes_n5_k3.tsv").read_bytes())
-    argv = ["verify", "-n", "5", "-k", "4", "--invariant", "isomorphism",
-            "--cache-dir", str(tmp_path)]
-    assert "header has k=3, expected k=4" in _class_error(capsys, argv, path)
-    path.unlink()
-    assert run(argv) == (0, "n=5 k=4 classes=34 violations=0\n")
+def _of_another_order(cache):
+    assert run(["classes", "-n", "6", "-k", "3", "--cache-dir", str(cache)])[0] == 0
+    _class_file(cache).write_bytes(_class_file(cache, n=6).read_bytes())
+    return _class_file(cache)
 
 
-def test_class_file_of_another_order_is_rejected(tmp_path, capsys):
-    assert run(["classes", "-n", "6", "-k", "3", "--cache-dir", str(tmp_path)])[0] == 0
-    path = tmp_path / "classes_n5_k3.tsv"
-    path.write_bytes((tmp_path / "classes_n6_k3.tsv").read_bytes())
-    argv = ["classes", "-n", "5", "-k", "3", "--cache-dir", str(tmp_path)]
-    assert "header has n=6, expected n=5" in _class_error(capsys, argv, path)
-
-
-def test_headerless_class_file_is_rejected(tmp_path, capsys):
-    argv = ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list",
-            "--cache-dir", str(tmp_path)]
-    assert run(argv) == (0, "n=5 k=3 classes=32 violations=2\n")
-    path = tmp_path / "classes_n5_k3.tsv"
+def _headerless(cache):
     # the format before class files had headers: the sorted lines alone
+    path = _class_file(cache)
     path.write_text(path.read_text().partition("\n")[2])
-    err = _class_error(capsys, argv, path)
-    assert "line 1 is not a #deckcensus-classes header" in err
-    assert err.endswith("; delete it to recompute\n")
+    return path
 
 
-def test_class_file_with_a_flipped_label_byte_is_rejected(tmp_path, capsys):
-    argv = ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list",
-            "--cache-dir", str(tmp_path)]
-    assert run(argv) == (0, "n=5 k=3 classes=32 violations=2\n")
-    path = tmp_path / "classes_n5_k3.tsv"
+def _flipped_label_byte(cache):
+    path = _class_file(cache)
     header, _, body = path.read_text().partition("\n")
     lines = body.splitlines()
     # flip the low bit of a label's last hex digit where the lines stay sorted
@@ -459,7 +435,41 @@ def test_class_file_with_a_flipped_label_byte_is_rejected(tmp_path, capsys):
     else:
         pytest.fail("no label byte can flip without reordering the lines")
     path.write_text(header + "\n" + "".join(line + "\n" for line in flipped))
-    assert "sha256" in _class_error(capsys, argv, path)
+    return path
+
+
+_CLASSES_N5 = ["classes", "-n", "5", "-k", "3"]
+_VERIFY_N5 = ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list"]
+
+# (command, damage): the damage takes a cache directory in which the
+# command has run, damages one class file there and returns its path.
+CLASS_FILE_DAMAGES = {
+    "garbage": (_CLASSES_N5, _garbage),
+    "truncated": (_CLASSES_N5, _truncated),
+    "regrouped": (_VERIFY_N5, _regrouped),
+    "another-k": (["verify", "-n", "5", "-k", "4", "--invariant", "isomorphism"],
+                  _under_another_k),
+    "another-order": (_CLASSES_N5, _of_another_order),
+    "headerless": (_VERIFY_N5, _headerless),
+    "flipped-label-byte": (_VERIFY_N5, _flipped_label_byte),
+}
+
+
+@pytest.mark.parametrize("case", CLASS_FILE_DAMAGES)
+def test_damaged_class_file_is_recomputed(tmp_path, capsys, case):
+    command, damage = CLASS_FILE_DAMAGES[case]
+    fresh = run([*command, "--cache-dir", str(tmp_path / "fresh")])
+    assert fresh[0] == 0
+    argv = [*command, "--cache-dir", str(tmp_path / "cache")]
+    assert run(argv) == fresh
+    path = damage(tmp_path / "cache")
+    capsys.readouterr()
+    assert run(argv) == fresh
+    err = capsys.readouterr().err
+    assert str(path) in err and err.count("\n") == 1
+    assert path.read_bytes() == (tmp_path / "fresh" / path.name).read_bytes()
+    assert run(argv) == fresh
+    assert capsys.readouterr().err == ""
 
 
 def test_warm_output_equals_cold_output(tmp_path, family6):
@@ -477,6 +487,50 @@ def test_warm_output_equals_cold_output(tmp_path, family6):
                 cold = run(argv)
                 assert cold[0] == 0 and path.exists(), argv
                 assert run(argv) == cold, argv
+
+
+# sha256 of the ``--format tsv`` stdout of each census command at n = 6,
+# for k = 1..6; verify is named by its invariant.
+N6_TSV_SHA256 = {
+    "classes": (
+        "668dc117a8e065811b4e1ab6554b746ba78ae440b07299f5be3adcdfa7e1e264",
+        "cac4c2f7886258f3b430fee06da0990c102ee0c6d71521510a5f6210bd630153",
+        "eab5ad456c884f1a843a55b7d211a40099a7ffcc4bcf4dc50cc15d41eaba83e8",
+        "9cb9ab80b6c04478586c78dead6670cfdd0a4878aa3277bcf504d31ae3648ba6",
+        "a4af30217c3b0564beb0dd94658863fb20fe117c61483320910a67df06b64f3c",
+        "305f74689b710867f24cb7ee1d8e8a47f4df6feef73671ce58f249515d4e5247",
+    ),
+    "degree_list": (
+        "4d0c5cfdae1e62956b432fc4a8afb7f5b7718d858409fe282bcb458d12d45f41",
+        "885fa905085208915aa81c08dee9a3960b48aff467882b4b62132f6f0b4c8808",
+        "18dec5e99bf8356302c1d021601bf3a191970490e18044b7cce1081964ca5615",
+        "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
+        "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
+        "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
+    ),
+    "connectedness": (
+        "31605dc9b0eddf2519ba2a410360fb30648c1d8aca3af1d5c4fd723a9600b763",
+        "73f9666a565673a24ba5c9501589994d1f80356e5be1d9b1c37e34f2d70418f2",
+        "de81233a4328ef67792a1e5764b1a7babb54f1614b5f6e0ef18bccb1eb0ab3fb",
+        "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
+        "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
+        "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
+    ),
+}
+
+
+def test_n6_census_tsv_bytes_are_pinned(tmp_path, family6):
+    census.CensusCache(tmp_path).store_family(family6)
+    for name, digests in N6_TSV_SHA256.items():
+        command = ["classes"] if name == "classes" else ["verify", "--invariant", name]
+        for k, digest in enumerate(digests, 1):
+            argv = [*command, "-n", "6", "-k", str(k), "--format", "tsv",
+                    "--cache-dir", str(tmp_path)]
+            (tmp_path / f"classes_n6_k{k}.tsv").unlink(missing_ok=True)
+            for cache in ("cold", "warm"):
+                status, out = run(argv)
+                assert status == 0
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, cache)
 
 
 def test_non_canonical_deck_file_is_rejected(tmp_path, capsys):

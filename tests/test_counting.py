@@ -61,7 +61,7 @@ def test_formula_matches_deck_counts_randomized():
 
 def test_reconstruct_under_true_high_counts():
     deck = compute_deck(C5K1, 3)
-    counts = reconstruct_degree_list(deck, 6, {3: 0, 4: 0, 5: 0})
+    counts = reconstruct_degree_list(deck, {3: 0, 4: 0, 5: 0})
     assert counts == (1, 0, 5, 0, 0, 0)
     assert counts_to_degree_list(counts) == (2, 2, 2, 2, 2, 0)
 
@@ -71,7 +71,7 @@ def test_reconstruct_under_other_consistent_high_counts():
     # are genuinely consistent, which is exactly why the high counts are an
     # explicit argument
     deck = compute_deck(C5K1, 3)
-    counts = reconstruct_degree_list(deck, 6, {3: 1, 4: 0, 5: 0})
+    counts = reconstruct_degree_list(deck, {3: 1, 4: 0, 5: 0})
     assert counts == (0, 3, 2, 1, 0, 0)
     assert counts_to_degree_list(counts) == (3, 2, 2, 1, 1, 1)
     assert counts == degree_counts(KPP)
@@ -85,25 +85,27 @@ def test_reconstruct_randomized_roundtrip():
         counts = degree_counts(g)
         for k in range(1, g.n + 1):
             high = {i: counts[i] for i in range(k, g.n)}
-            assert reconstruct_degree_list(compute_deck(g, k), g.n, high) == counts, k
+            assert reconstruct_degree_list(compute_deck(g, k), high) == counts, k
 
 
 def test_reconstruct_rejects_impossible_high_counts():
     deck = compute_deck(C5K1, 3)
     with pytest.raises(InconsistentCountsError, match="inconsistent high-degree"):
-        reconstruct_degree_list(deck, 6, {3: 0, 4: 0, 5: 1})
+        reconstruct_degree_list(deck, {3: 0, 4: 0, 5: 1})
     with pytest.raises(ValueError):
-        reconstruct_degree_list(deck, 6, {3: 0, 4: 0})  # missing degree 5
+        reconstruct_degree_list(deck, {3: 0, 4: 0})  # missing degree 5
     with pytest.raises(ValueError):
-        reconstruct_degree_list(deck, 7, {i: 0 for i in range(3, 7)})
+        reconstruct_degree_list(deck, {i: 0 for i in range(3, 7)})  # stray degree 6
+    with pytest.raises(ValueError, match="nonnegative"):
+        reconstruct_degree_list(deck, {3: -1, 4: 0, 5: 0})
 
 
 def test_reconstruct_with_zero_high_counts():
     zeros = {3: 0, 4: 0, 5: 0}
-    assert reconstruct_degree_list(compute_deck(C5K1, 3), 6, zeros) == (1, 0, 5, 0, 0, 0)
+    assert reconstruct_degree_list(compute_deck(C5K1, 3), zeros) == (1, 0, 5, 0, 0, 0)
     # K4's 3-deck forces negative low counts once the high ones are zeroed
     with pytest.raises(InconsistentCountsError):
-        reconstruct_degree_list(compute_deck(complete_graph(4), 3), 4, {3: 0})
+        reconstruct_degree_list(compute_deck(complete_graph(4), 3), {3: 0})
 
 
 def test_deck_difference_goldens():

@@ -336,3 +336,10 @@ def test_parse_deck_rejects_garbage():
     # the 3-deck of C5+K1 with relabelled, non-canonical card keys
     with pytest.raises(ValueError, match="'B_'"):
         parse_deck("k=3 n=6\nB?\t5\nB_\t10\nBo\t5\n")
+    # the header holds k and n once each, in either order, and nothing else
+    body = "\nB?\t5\nBG\t10\nBW\t5\n"
+    assert parse_deck("n=6 k=3" + body) == compute_deck(C5K1, 3)
+    for header in ("k=3 n=6 n=6 colour=red", "n=6 k=3 k=4", "k=3 n=6 k=3",
+                   "k=3 n=6 colour=red", "k=3", "k=3 n=6=6"):
+        with pytest.raises(ValueError, match="bad deck header"):
+            parse_deck(header + body)
