@@ -32,11 +32,15 @@ Both prunings only discard orderings whose bit string provably cannot
 beat the incumbent, so the result is the true minimum.
 
 Keys of graphs with at most ``_MEMO_MAX_N`` vertices are memoized in
-``_memo``, the only key memo.  It is keyed by the labeled graph as one
-int: a leading 1 bit at position C(n, 2), which fixes ``n``, above the
-graph6 upper-triangle bits x(0,1), x(0,2), x(1,2), x(0,3), ...  ``decks``
-builds that int incrementally for each card and probes ``_memo`` itself
-before calling :func:`_key_for_rows`.
+``_memo``, the only key memo.  It maps a labeling of a graph, as one
+int, to the graph's key: a leading 1 bit at position C(n, 2), which
+fixes ``n``, above the graph6 upper-triangle bits x(0,1), x(0,2),
+x(1,2), x(0,3), ...  Every labeling of one graph maps to the same key,
+so one key may sit under several ints.  :func:`_key_for_rows` stores
+the labeling it is given.  ``decks`` builds the int incrementally for
+each card and probes ``_memo`` itself; on a miss it probes again with
+the card relabeled by vertex signature, and it stores the key under
+both ints.
 """
 
 from __future__ import annotations

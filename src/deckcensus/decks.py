@@ -10,8 +10,10 @@ Cards come from one walk that adds a graph's vertices one at a time:
 vertex v turns each (j-1)-card S on range(v) into the j-card S + {v},
 whose labeled upper-triangle bits are S's bits followed by v's column
 against S, read from a gather table.  Those bits are the key of the
-canonical-key memo (``canon._memo``), which is probed inline; only on a
-miss are the card's rows decoded from its bits and handed to
+canonical-key memo (``canon._memo``), which is probed inline.  On a
+miss, :func:`_card_key` decodes the card's rows from its bits, sorts
+the vertices by degree and neighbour degrees, and probes the memo again
+with that relabelling; only when both miss does it hand the rows to
 ``canon._key_for_rows``.  A graph's k-cards are its parent's (the graph
 on its first n-1 vertices) plus the last vertex's step, and the last
 parent walked is kept, so graphs with the same parent walk it once.
@@ -24,8 +26,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .canon import _key_for_rows, _memo
-from .graphs import Graph, _rows_from_bits, degree_counts
+from .canon import _MEMO_MAX_N, _key_for_rows, _memo
+from .graphs import Graph, _rows_from_bits, _triangle_bits, degree_counts
 from .graphs import from_graph6, is_connected
 
 
@@ -120,8 +122,46 @@ def _tally_cards(k: int, card_bits: Iterable[int], tally: dict[str, int],
     for bits in card_bits:
         key = probe(bits)
         if key is None:
-            key = _key_for_rows(k, tuple(_rows_from_bits(k, bits)))
+            key = _card_key(k, bits)
         tally[key] = tally.get(key, 0) + mult
+
+
+def _card_key(k: int, bits: int) -> str:
+    """Canonical key of the k-card whose memo key is ``bits``;
+    :func:`_tally_cards` calls it only when ``bits`` misses the memo.
+
+    A card of at most ``_MEMO_MAX_N`` vertices is first relabelled by a
+    vertex signature that no relabelling changes, its degree and the
+    multiset of its neighbours' degrees, ties kept in label order.
+    Two labellings of one card often relabel to the same int, so the
+    memo is probed again with that one, and only a second miss runs the
+    search.  The key is memoized under both ints.
+    """
+    rows = _rows_from_bits(k, bits)
+    if k > _MEMO_MAX_N:
+        return _key_for_rows(k, tuple(rows))
+    # a signature is the degree above 4 bits per degree d, which count
+    # the degree-d neighbours (fewer than k <= _MEMO_MAX_N < 16)
+    weight = [1 << 4 * row.bit_count() for row in rows]
+    signature = []
+    for row in rows:
+        sig = row.bit_count() << 4 * k
+        while row:
+            low = row & -row
+            sig += weight[low.bit_length() - 1]
+            row ^= low
+        signature.append(sig)
+    order = sorted(range(k), key=signature.__getitem__)
+    relabelled = 1
+    for j in range(1, k):
+        row = rows[order[j]]
+        for u in order[:j]:
+            relabelled = relabelled << 1 | row >> u & 1
+    key = _memo.get(relabelled)
+    if key is None:
+        key = _memo[relabelled] = _key_for_rows(k, tuple(rows))
+    _memo[bits] = key
+    return key
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +340,7 @@ def parse_deck(text: str) -> Deck:
         card = from_graph6(key)
         if card.n != k:
             raise ValueError(f"card {key!r} does not have {k} vertices")
-        canonical = _key_for_rows(k, card.rows)
+        canonical = _card_key(k, 1 << comb(k, 2) | _triangle_bits(card.rows))
         if canonical != key:
             raise ValueError(f"card {key!r} is not canonical; its key is {canonical!r}")
         entries[key] = mult

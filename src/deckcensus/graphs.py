@@ -110,15 +110,20 @@ def _triangle_bits(rows: Sequence[int]) -> int:
 def _rows_from_bits(n: int, bits: int) -> list[int]:
     """Rows of the n-vertex graph whose upper-triangle bits, x(0,1) as
     the MSB, are the low C(n, 2) bits of ``bits``; higher bits are
-    ignored."""
+    ignored.  Column j, the bits x(0,j)..x(j-1,j), reversed is row j's
+    low j bits; row j has no other bits yet when column j is read, and
+    each of those bits is then copied to its row's bit j."""
     rows = [0] * n
     pos = n * (n - 1) // 2
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bits >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        pos -= j
+        low = _REVERSED[j][bits >> pos & ((1 << j) - 1)]
+        rows[j] = low
+        bit = 1 << j
+        while low:
+            lsb = low & -low
+            rows[lsb.bit_length() - 1] |= bit
+            low ^= lsb
     return rows
 
 

@@ -12,12 +12,14 @@ from math import comb
 import networkx as nx
 import pytest
 
-from deckcensus import canon
+from deckcensus import canon, decks
 from deckcensus.canon import canonical_key
-from deckcensus.census import GRAPH_COUNTS
+from deckcensus.census import GRAPH_COUNTS, deck_classes
 from deckcensus.decks import (
     Deck,
     UnrealizableDeckError,
+    _card_key,
+    _card_levels,
     _deck_tally,
     _degree_counts_of_key,
     _graph_of_key,
@@ -34,6 +36,9 @@ from deckcensus.decks import (
 )
 from deckcensus.graphs import (
     Graph,
+    _g6_from_bits,
+    _rows_from_bits,
+    _triangle_bits,
     claw_subdivided,
     complete_graph,
     disjoint_union,
@@ -43,7 +48,14 @@ from deckcensus.graphs import (
     path_graph,
 )
 
-from .helpers import binom, complement, induced_deck, permuted, random_graph
+from .helpers import (
+    binom,
+    brute_force_min_bits,
+    complement,
+    induced_deck,
+    permuted,
+    random_graph,
+)
 
 
 def reference_deck_sizes(g: Graph, k: int) -> list[int]:
@@ -169,6 +181,58 @@ def test_deck_tally_matches_oracle_across_parents_and_card_sizes():
     for g in graphs:
         for k in rng.sample(range(1, g.n + 1), g.n):
             assert _deck_tally(g.rows, k) == induced_deck(g, k), (g, k)
+
+
+def test_card_key_is_the_brute_force_minimum_on_every_small_graph():
+    # one cold memo through every labelled graph on n <= 5 vertices, so
+    # later labellings of a class also meet the relabelled-probe hit
+    canon.clear_cache()
+    for n in range(1, 6):
+        for tri in range(1 << comb(n, 2)):
+            bits = 1 << comb(n, 2) | tri
+            g = Graph.from_rows(_rows_from_bits(n, bits))
+            least = 0
+            for bit in brute_force_min_bits(g):
+                least = least << 1 | bit
+            assert _card_key(n, bits) == _g6_from_bits(n, least), (n, tri)
+
+
+def test_card_key_of_relabelled_members_is_the_members_key(family6, family7):
+    rng = random.Random(59)
+    for family in (family6, family7):
+        n = family.order
+        perms = [rng.sample(range(n), n) for _ in range(3)]
+        cases = [
+            (key, 1 << comb(n, 2) | _triangle_bits(permuted(from_graph6(key), perm).rows))
+            for key in family.members for perm in perms
+        ]
+        # cold, then cold again in the reverse order, so other labellings
+        # are the ones searched
+        for ordered in (cases, cases[::-1]):
+            canon.clear_cache()
+            for key, bits in ordered:
+                assert _card_key(n, bits) == key
+
+
+def test_relabelled_probe_spares_most_card_searches(family7, monkeypatch):
+    # counted where the helper calls it, which is also the binding the
+    # benchmark's tracer wraps
+    calls = []
+    search = decks._key_for_rows
+
+    def counted(n, rows):
+        calls.append(n)
+        return search(n, rows)
+
+    monkeypatch.setattr(decks, "_key_for_rows", counted)
+    canon.clear_cache()
+    decks._parent_cards.cache_clear()
+    deck_classes(family7, 6)
+    labelled = {bits for key in family7.members
+                for bits in _card_levels(from_graph6(key).rows, 6, 6)[6]}
+    # one search per labelled card would be 1719
+    assert len(labelled) == 1719
+    assert len(calls) == 235
 
 
 def test_deck_is_relabeling_invariant():
