@@ -37,7 +37,8 @@ from .counting import _phi_of_counts
 from .counting import phi_formula  # noqa: F401 (perfbench/tracing.py binds it)
 from .decks import Deck, compute_deck, deck_equal, derive_subdeck, phi_vector
 from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
-from .decks import _deck_tally, _key_is_connected, _triangles_of_key, entry_text
+from .decks import _cards_of_key, _deck_tally, _key_is_connected, _triangles_of_key
+from .decks import entry_text
 from .decks import edge_count_from_deck  # noqa: F401 (perfbench/tracing.py binds it)
 from .graphs import (
     _REVERSED,
@@ -390,14 +391,17 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
     - triangles (k >= 3): the member must have sum(mult * t(card)) /
       C(n-3, k-3) triangles, and a total that does not divide means no
       graph realizes the deck;
-    - the 4-deck (k > 4): the member's 4-deck must equal the one derived
-      from the deck, and a derivation that does not divide means no
-      graph realizes the deck.  A 4-deck has only 11 card classes, all
-      held by the canonical-key memo after the first few cards.
+    - the 4-deck (k >= 4): the member's 4-deck must equal the one
+      derived from the deck (the deck itself at k = 4), and a
+      derivation that does not divide means no graph realizes the deck.
+      Member 4-decks and the card tallies behind a derivation come from
+      the per-key cache ``decks._cards_of_key``, so each is walked once
+      per process.
 
-    Only a member that passes every screen has its k-deck built and
-    compared.  The screens are implied by deck equality, so they never
-    change the result.
+    Only a member that passes every screen at k > 4 has its k-deck
+    built and compared; at k = 4 the 4-deck screen is that comparison.
+    The screens are implied by deck equality, so they never change the
+    result.
     """
     n = family.order
     if deck.origin_order != n:
@@ -409,7 +413,7 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
         triangles, rest = divmod(total, comb(n - 3, k - 3))
         if rest:
             return ()
-    if k > 4:
+    if k >= 4:
         four = deck
         try:
             while four.card_size > 4:
@@ -422,10 +426,9 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
         key = members[i]
         if triangles is not None and _triangles_of_key(key) != triangles:
             continue
-        g = _graph_of_key(key)
-        if four is not None and compute_deck(g, 4).entries != four.entries:
+        if four is not None and _cards_of_key(key, 4) != four.entries:
             continue
-        if deck_equal(compute_deck(g, k), deck):
+        if k == 4 or deck_equal(compute_deck(_graph_of_key(key), k), deck):
             found.append(key)
     return tuple(found)
 

@@ -17,6 +17,9 @@ with that relabelling; only when both miss does it hand the rows to
 ``canon._key_for_rows``.  A graph's k-cards are its parent's (the graph
 on its first n-1 vertices) plus the last vertex's step, and the last
 parent walked is kept, so graphs with the same parent walk it once.
+The card tally of a graph named by its canonical key is kept per key
+(:func:`_cards_of_key`), for the sub-deck law and the realization
+screens, which meet the same graphs query after query.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .canon import _MEMO_MAX_N, _key_for_rows, _memo
@@ -85,10 +89,12 @@ class Deck:
         )
 
 
-# The per-key caches have room for every graph on at most 8 vertices
-# (13598 keys, the A000088 counts summed), so no n <= 8 workload evicts
-# anything, while an n = 9 census or query streams past them instead of
-# keeping a value for each of its 274668 members.
+# The per-key caches (decoded graph, degree counts, connectedness,
+# triangle count, and the card tallies of :func:`_cards_of_key`) have
+# room for every graph on at most 8 vertices (13598 keys, the A000088
+# counts summed), so no n <= 8 workload evicts anything, while an n = 9
+# census or query streams past them instead of keeping a value for each
+# of its 274668 members.
 _KEY_CACHE_SIZE = 1 << 14
 
 
@@ -114,16 +120,15 @@ def _triangles_of_key(key: str) -> int:
     return sum((g.rows[u] & g.rows[v]).bit_count() for u, v in g.edges()) // 3
 
 
-def _tally_cards(k: int, card_bits: Iterable[int], tally: dict[str, int],
-                 mult: int) -> None:
-    """Add ``mult`` to ``tally[key]`` for each k-card memo key in
-    ``card_bits``, ``key`` being the card's canonical key."""
+def _tally_cards(k: int, card_bits: Iterable[int], tally: dict[str, int]) -> None:
+    """Count into ``tally[key]`` each k-card memo key in ``card_bits``,
+    ``key`` being the card's canonical key."""
     probe = _memo.get
     for bits in card_bits:
         key = probe(bits)
         if key is None:
             key = _card_key(k, bits)
-        tally[key] = tally.get(key, 0) + mult
+        tally[key] = tally.get(key, 0) + 1
 
 
 def _card_key(k: int, bits: int) -> str:
@@ -208,7 +213,7 @@ def _parent_cards(parent: tuple[int, ...], k: int) -> tuple[dict[str, int], list
     first n-1 vertices) together, so a census walks each parent once."""
     levels = _card_levels(parent, k, k - 1)
     tally: dict[str, int] = {}
-    _tally_cards(k, levels[k], tally, 1)
+    _tally_cards(k, levels[k], tally)
     return tally, levels[k - 1]
 
 
@@ -220,8 +225,20 @@ def _deck_tally(rows: Sequence[int], k: int) -> dict[str, int]:
     low = (1 << (n - 1)) - 1
     base, cards = _parent_cards(tuple(row & low for row in rows[:-1]), k)
     tally = base.copy()
-    _tally_cards(k, _extend(cards, k - 1, n - 1, rows[-1]), tally, 1)
+    _tally_cards(k, _extend(cards, k - 1, n - 1, rows[-1]), tally)
     return tally
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _cards_of_key(key: str, size: int) -> Mapping[str, int]:
+    """The ``size``-card tally of the graph whose canonical key is ``key``,
+    read-only because every caller shares it: the deck entries of that
+    graph, kept per key so that a sub-deck derivation or a 4-deck screen
+    walks each graph once per process."""
+    tally: dict[str, int] = {}
+    cards = _card_levels(_graph_of_key(key).rows, size, size)[size]
+    _tally_cards(size, cards, tally)
+    return MappingProxyType(tally)
 
 
 def compute_deck(g: Graph, k: int) -> Deck:
@@ -254,8 +271,8 @@ def derive_subdeck(deck: Deck) -> Deck:
         raise ValueError("sub-deck derivation needs card size >= 2")
     acc: dict[str, int] = {}
     for key, mult in deck.entries.items():
-        cards = _card_levels(_graph_of_key(key).rows, k - 1, k - 1)[k - 1]
-        _tally_cards(k - 1, cards, acc, mult)
+        for subkey, count in _cards_of_key(key, k - 1).items():
+            acc[subkey] = acc.get(subkey, 0) + mult * count
     divisor = n - k + 1
     entries: dict[str, int] = {}
     for subkey, total in acc.items():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from deckcensus import census, counting
+from deckcensus import census, counting, decks
 from deckcensus.canon import canonical_key
 from deckcensus.census import (
     CensusCache,
@@ -24,7 +24,8 @@ from deckcensus.census import (
 )
 from deckcensus.cli import dispatch
 from deckcensus.counting import phi_diff_residual, phi_formula
-from deckcensus.decks import Deck, _key_is_connected, compute_deck, deck_equal
+from deckcensus.decks import Deck, _cards_of_key, _key_is_connected, compute_deck
+from deckcensus.decks import deck_equal, derive_subdeck
 from deckcensus.decks import entry_text, serialize_deck
 from deckcensus.graphs import (
     claw_subdivided,
@@ -440,7 +441,13 @@ def test_four_deck_screen_spares_the_k_decks(monkeypatch, family7):
         built.append(k)
         return compute_deck(g, k)
 
+    # the screen reads member 4-decks from the per-key tally cache
+    def tallied(key, size):
+        built.append(size)
+        return _cards_of_key(key, size)
+
     monkeypatch.setattr(census, "compute_deck", counted)
+    monkeypatch.setattr(census, "_cards_of_key", tallied)
     screened = 0
     for key in singles[::50]:
         deck = compute_deck(from_graph6(key), 6)
@@ -450,6 +457,42 @@ def test_four_deck_screen_spares_the_k_decks(monkeypatch, family7):
         screened += built.count(4) - 1
     # the screen turned candidates away
     assert screened > 0
+
+
+def test_repeated_screens_walk_no_graph(monkeypatch, family7):
+    # member 4-decks and the tallies behind sub-deck derivations are
+    # walked once per process; asked again, only the k-deck of a member
+    # that passes every screen is built again (through compute_deck)
+    card_levels = decks._card_levels
+    walked = []
+    building = []
+
+    def counted_walk(rows, k, low):
+        if not building:
+            walked.append(len(rows))
+        return card_levels(rows, k, low)
+
+    def counted_build(g, k):
+        building.append(k)
+        try:
+            return compute_deck(g, k)
+        finally:
+            building.pop()
+
+    keys = family7.members[::25]
+    queries = [compute_deck(from_graph6(key), 5) for key in keys]
+    for deck in queries:
+        find_reconstructions(deck, family7)
+    # a deck whose card keys were all met before: P6's 4-cards are P7's
+    derive_subdeck(compute_deck(path_graph(7), 4))
+    fresh, expected = compute_deck(path_graph(6), 4), compute_deck(path_graph(6), 3)
+    monkeypatch.setattr(decks, "_card_levels", counted_walk)
+    monkeypatch.setattr(census, "compute_deck", counted_build)
+    for key, deck in zip(keys, queries):
+        assert find_reconstructions(deck, family7) == (key,)
+        assert walked == [], key
+    assert derive_subdeck(fresh) == expected
+    assert walked == []
 
 
 def test_find_reconstructions_simple_cases(family6, family7):

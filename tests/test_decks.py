@@ -14,12 +14,13 @@ import pytest
 
 from deckcensus import canon, decks
 from deckcensus.canon import canonical_key
-from deckcensus.census import GRAPH_COUNTS, deck_classes
+from deckcensus.census import GRAPH_COUNTS, deck_classes, enumerate_graphs
 from deckcensus.decks import (
     Deck,
     UnrealizableDeckError,
     _card_key,
     _card_levels,
+    _cards_of_key,
     _deck_tally,
     _degree_counts_of_key,
     _graph_of_key,
@@ -154,10 +155,34 @@ def test_decode_cache_is_bounded_above_every_small_family():
     # and an n = 9 family streams past every per-key cache
     assert sum(GRAPH_COUNTS[:8]) == 13598
     for cached in (_graph_of_key, _degree_counts_of_key, _key_is_connected,
-                   _triangles_of_key):
+                   _triangles_of_key, _cards_of_key):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None, cached.__name__
         assert maxsize >= 13598, cached.__name__
+
+
+def test_cards_of_key_is_the_deck_of_the_key():
+    for n in range(1, 7):
+        for key in enumerate_graphs(n).members:
+            g = from_graph6(key)
+            for size in range(1, n + 1):
+                assert _cards_of_key(key, size) == compute_deck(g, size).entries, (
+                    key, size)
+    rng = random.Random(59)
+    for _ in range(20):
+        g = random_graph(rng, 8)
+        key = canonical_key(g)
+        for size in range(4, 8):
+            assert _cards_of_key(key, size) == compute_deck(g, size).entries, (
+                key, size)
+
+
+def test_cards_of_key_is_read_only():
+    # every caller shares the one cached tally
+    tally = _cards_of_key(canonical_key(path_graph(4)), 3)
+    with pytest.raises(TypeError):
+        tally[canonical_key(path_graph(3))] = 1
+    assert tally == compute_deck(path_graph(4), 3).entries
 
 
 def test_deck_tally_matches_oracle_across_parents_and_card_sizes():
@@ -288,6 +313,11 @@ def test_derive_subdeck_flags_unrealizable():
     fake = Deck(3, 4, entries)
     with pytest.raises(UnrealizableDeckError, match="not a realizable deck"):
         derive_subdeck(fake)
+    # asked again, from cached tallies, it names the same first card
+    with pytest.raises(UnrealizableDeckError) as raised:
+        derive_subdeck(fake)
+    assert str(raised.value) == (
+        "not a realizable deck: count 11 of card 'A_' is not divisible by 2")
 
 
 def test_count_j_vertices_goldens():
