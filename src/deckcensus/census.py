@@ -35,7 +35,8 @@ from typing import Sequence
 from . import canon
 from .counting import _phi_of_counts
 from .counting import phi_formula  # noqa: F401 (perfbench/tracing.py binds it)
-from .decks import Deck, compute_deck, deck_equal, derive_subdeck, phi_vector
+from .decks import Deck, compute_deck, derive_subdeck, phi_vector
+from .decks import deck_equal  # noqa: F401 (perfbench/tracing.py binds it)
 from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
 from .decks import _cards_of_key, _deck_tally, _key_is_connected, _triangles_of_key
 from .decks import entry_text
@@ -391,17 +392,15 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
     - triangles (k >= 3): the member must have sum(mult * t(card)) /
       C(n-3, k-3) triangles, and a total that does not divide means no
       graph realizes the deck;
-    - the 4-deck (k >= 4): the member's 4-deck must equal the one
-      derived from the deck (the deck itself at k = 4), and a
-      derivation that does not divide means no graph realizes the deck.
-      Member 4-decks and the card tallies behind a derivation come from
-      the per-key cache ``decks._cards_of_key``, so each is walked once
-      per process.
+    - the 4-deck (k > 4): the member's 4-deck must equal the one derived
+      from the deck, and a derivation that does not divide means no
+      graph realizes the deck.
 
-    Only a member that passes every screen at k > 4 has its k-deck
-    built and compared; at k = 4 the 4-deck screen is that comparison.
-    The screens are implied by deck equality, so they never change the
-    result.
+    A member that passes every screen is kept when its k-deck entries
+    equal the deck's.  Member decks, and the card tallies behind a
+    derivation, come from the per-key cache ``decks._cards_of_key``, so
+    each is walked once per process.  The screens are implied by deck
+    equality, so they never change the result.
     """
     n = family.order
     if deck.origin_order != n:
@@ -413,7 +412,7 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
         triangles, rest = divmod(total, comb(n - 3, k - 3))
         if rest:
             return ()
-    if k >= 4:
+    if k > 4:
         four = deck
         try:
             while four.card_size > 4:
@@ -428,7 +427,7 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
             continue
         if four is not None and _cards_of_key(key, 4) != four.entries:
             continue
-        if k == 4 or deck_equal(compute_deck(_graph_of_key(key), k), deck):
+        if _cards_of_key(key, k) == deck.entries:
             found.append(key)
     return tuple(found)
 

@@ -94,8 +94,7 @@ def _run_subdeck(args, parser, out) -> None:
 
 
 def _parse_high(text: str, k: int, n: int) -> dict[int, int]:
-    counts = {i: 0 for i in range(k, n)}
-    given: set[int] = set()
+    counts: dict[int, int] = {}
     if text.strip():
         for item in text.split(","):
             degree_text, _, value_text = item.partition("=")
@@ -103,12 +102,15 @@ def _parse_high(text: str, k: int, n: int) -> dict[int, int]:
                 degree, value = int(degree_text), int(value_text)
             except ValueError:
                 raise ValueError(f"bad --high item {item!r}; expected I=A") from None
-            if degree not in counts:
+            if not k <= degree < n:
                 raise ValueError(f"--high degree {degree} outside [{k}, {n - 1}]")
-            if degree in given:
+            if degree in counts:
                 raise ValueError(f"--high degree {degree} given twice")
-            given.add(degree)
             counts[degree] = value
+    missing = [i for i in range(k, n) if i not in counts]
+    if missing:
+        raise ValueError(f"--high lacks the counts of degrees {missing}; "
+                         f"give one for every degree in [{k}, {n - 1}]")
     return counts
 
 
@@ -230,8 +232,8 @@ _COMMANDS = (
     ("degrees", _run_degrees, "recover a degree list from a k-deck", (
         *_DECK_INPUT,
         ("--high", {"metavar": "I=A,...", "default": "",
-                    "help": "counts of degrees >= k, e.g. '3=1,4=0,5=0'; "
-                    "omitted degrees default to 0"}),
+                    "help": "the count of every degree in [k, n-1], "
+                    "e.g. '3=1,4=0,5=0' for k=3, n=6"}),
         _FORMAT)),
     ("phi", _run_phi, "degree-occurrence totals of a k-deck", (_GRAPH, _K, _FORMAT)),
     ("classes", _run_census, "partition all n-vertex graphs by k-deck",

@@ -17,9 +17,10 @@ with that relabelling; only when both miss does it hand the rows to
 ``canon._key_for_rows``.  A graph's k-cards are its parent's (the graph
 on its first n-1 vertices) plus the last vertex's step, and the last
 parent walked is kept, so graphs with the same parent walk it once.
-The card tally of a graph named by its canonical key is kept per key
-(:func:`_cards_of_key`), for the sub-deck law and the realization
-screens, which meet the same graphs query after query.
+Every deck takes this one path (:func:`_deck_tally`): :func:`compute_deck`,
+the census, and :func:`_cards_of_key`, which keeps the deck entries of a
+graph named by its canonical key for the sub-deck law and the
+realization search, which meet the same graphs query after query.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .canon import _MEMO_MAX_N, _key_for_rows, _memo
-from .graphs import Graph, _rows_from_bits, _triangle_bits, degree_counts
+from .canon import _MEMO_MAX_N, _key_for_rows, _memo, canonical_key
+from .graphs import Graph, _rows_from_bits, degree_counts
 from .graphs import from_graph6, is_connected
 
 
@@ -192,16 +193,16 @@ def _extend(cards: list[int], size: int, v: int, row: int) -> list[int]:
     return [bits << size | table[row] for bits, table in zip(cards, tables)]
 
 
-def _card_levels(rows: Sequence[int], k: int, low: int) -> list[list[int]]:
+def _card_levels(rows: Sequence[int], k: int) -> list[list[int]]:
     """``levels[j]`` lists the memo keys of the j-vertex cards of the graph
     with adjacency ``rows`` in colex order of their vertex sets, for
-    low <= j <= k.  Vertex v appends to level j the step from level j-1;
-    a level too small to reach ``low`` with the vertices still to come
-    stops growing, so levels below ``low`` come out incomplete."""
+    j = k-1 and k.  Vertex v appends to level j the step from level j-1;
+    a level too small to reach k-1 with the vertices still to come stops
+    growing, so levels below k-1 come out incomplete."""
     n = len(rows)
     levels = [[1]] + [[] for _ in range(k)]
     for v, row in enumerate(rows):
-        for j in range(min(k, v + 1), max(0, low - n + v), -1):
+        for j in range(min(k, v + 1), max(0, k - 1 - n + v), -1):
             levels[j] += _extend(levels[j - 1], j - 1, v, row)
     return levels
 
@@ -211,7 +212,7 @@ def _parent_cards(parent: tuple[int, ...], k: int) -> tuple[dict[str, int], list
     """The k-card tally and the (k-1)-card keys of ``parent``, kept for
     the next call: a sorted family lists siblings (graphs with the same
     first n-1 vertices) together, so a census walks each parent once."""
-    levels = _card_levels(parent, k, k - 1)
+    levels = _card_levels(parent, k)
     tally: dict[str, int] = {}
     _tally_cards(k, levels[k], tally)
     return tally, levels[k - 1]
@@ -231,14 +232,11 @@ def _deck_tally(rows: Sequence[int], k: int) -> dict[str, int]:
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _cards_of_key(key: str, size: int) -> Mapping[str, int]:
-    """The ``size``-card tally of the graph whose canonical key is ``key``,
-    read-only because every caller shares it: the deck entries of that
-    graph, kept per key so that a sub-deck derivation or a 4-deck screen
-    walks each graph once per process."""
-    tally: dict[str, int] = {}
-    cards = _card_levels(_graph_of_key(key).rows, size, size)[size]
-    _tally_cards(size, cards, tally)
-    return MappingProxyType(tally)
+    """The ``size``-deck entries of the graph whose canonical key is
+    ``key``, read-only because every caller shares them, and kept per key
+    so that sub-deck derivations and realization searches walk each
+    graph once per process."""
+    return MappingProxyType(_deck_tally(_graph_of_key(key).rows, size))
 
 
 def compute_deck(g: Graph, k: int) -> Deck:
@@ -357,7 +355,7 @@ def parse_deck(text: str) -> Deck:
         card = from_graph6(key)
         if card.n != k:
             raise ValueError(f"card {key!r} does not have {k} vertices")
-        canonical = _card_key(k, 1 << comb(k, 2) | _triangle_bits(card.rows))
+        canonical = canonical_key(card)
         if canonical != key:
             raise ValueError(f"card {key!r} is not canonical; its key is {canonical!r}")
         entries[key] = mult

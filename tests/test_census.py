@@ -435,49 +435,34 @@ def test_four_deck_screen_spares_the_k_decks(monkeypatch, family7):
     # passes the phi and triangle screens fails on its 4-deck
     singles = [members[0] for members in partition(deck_classes(family7, 4))
                if len(members) == 1]
-    built = []
+    read = []
 
-    def counted(g, k):
-        built.append(k)
-        return compute_deck(g, k)
-
-    # the screen reads member 4-decks from the per-key tally cache
+    # the search reads member decks from the per-key tally cache
     def tallied(key, size):
-        built.append(size)
+        read.append(size)
         return _cards_of_key(key, size)
 
-    monkeypatch.setattr(census, "compute_deck", counted)
     monkeypatch.setattr(census, "_cards_of_key", tallied)
     screened = 0
     for key in singles[::50]:
         deck = compute_deck(from_graph6(key), 6)
-        built.clear()
+        read.clear()
         assert find_reconstructions(deck, family7) == (key,)
-        assert built.count(6) == 1, key
-        screened += built.count(4) - 1
+        assert read.count(6) == 1, key
+        screened += read.count(4) - 1
     # the screen turned candidates away
     assert screened > 0
 
 
 def test_repeated_screens_walk_no_graph(monkeypatch, family7):
-    # member 4-decks and the tallies behind sub-deck derivations are
-    # walked once per process; asked again, only the k-deck of a member
-    # that passes every screen is built again (through compute_deck)
+    # member decks and the tallies behind sub-deck derivations are walked
+    # once per process; asked again, the search walks no graph at all
     card_levels = decks._card_levels
     walked = []
-    building = []
 
-    def counted_walk(rows, k, low):
-        if not building:
-            walked.append(len(rows))
-        return card_levels(rows, k, low)
-
-    def counted_build(g, k):
-        building.append(k)
-        try:
-            return compute_deck(g, k)
-        finally:
-            building.pop()
+    def counted_walk(rows, k):
+        walked.append(len(rows))
+        return card_levels(rows, k)
 
     keys = family7.members[::25]
     queries = [compute_deck(from_graph6(key), 5) for key in keys]
@@ -487,7 +472,6 @@ def test_repeated_screens_walk_no_graph(monkeypatch, family7):
     derive_subdeck(compute_deck(path_graph(7), 4))
     fresh, expected = compute_deck(path_graph(6), 4), compute_deck(path_graph(6), 3)
     monkeypatch.setattr(decks, "_card_levels", counted_walk)
-    monkeypatch.setattr(census, "compute_deck", counted_build)
     for key, deck in zip(keys, queries):
         assert find_reconstructions(deck, family7) == (key,)
         assert walked == [], key

@@ -195,18 +195,30 @@ def test_degrees_with_true_and_alternative_highs():
     status, text = run(["degrees", "--g6", C5K1_G6, "-k", "3", "--high", "3=0,4=0,5=0"])
     assert status == 0
     assert text == "degrees=(2,2,2,2,2,0) counts=(1,0,5,0,0,0)\n"
-    status, text = run(["degrees", "--g6", C5K1_G6, "-k", "3", "--high", "3=1"])
+    status, text = run(["degrees", "--g6", C5K1_G6, "-k", "3", "--high", "3=1,4=0,5=0"])
     assert status == 0
     assert text == "degrees=(3,2,2,1,1,1) counts=(0,3,2,1,0,0)\n"
 
 
 def test_degrees_inconsistent_is_domain_error(capsys):
-    status, _ = run(["degrees", "--g6", C5K1_G6, "-k", "3", "--high", "5=1"])
+    status, _ = run(["degrees", "--g6", C5K1_G6, "-k", "3", "--high", "3=0,4=0,5=1"])
     assert status == 1
     # a degree given twice is refused, not read as its last value
     status, text = run(["degrees", "--g6", C5K1_G6, "-k", "3", "--high", "3=1,3=0"])
     assert (status, text) == (1, "")
     assert "--high degree 3 given twice" in capsys.readouterr().err
+
+
+def test_degrees_needs_every_high_count(capsys):
+    # E??w has degree counts (2,3,0,1,0,0); reading an omitted count as 0
+    # would print the wrong list (2,2,2,0,0,0)
+    g6 = "E??w"
+    for high, missing in (("", [3, 4, 5]), ("3=1", [4, 5]), ("3=1,5=0", [4])):
+        status, text = run(["degrees", "--g6", g6, "-k", "3", "--high", high])
+        assert (status, text) == (1, ""), high
+        assert f"lacks the counts of degrees {missing}" in capsys.readouterr().err
+    status, text = run(["degrees", "--g6", g6, "-k", "3", "--high", "3=1,4=0,5=0"])
+    assert (status, text) == (0, "degrees=(3,1,1,1,0,0) counts=(2,3,0,1,0,0)\n")
 
 
 def test_phi_output():

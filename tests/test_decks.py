@@ -254,7 +254,7 @@ def test_relabelled_probe_spares_most_card_searches(family7, monkeypatch):
     decks._parent_cards.cache_clear()
     deck_classes(family7, 6)
     labelled = {bits for key in family7.members
-                for bits in _card_levels(from_graph6(key).rows, 6, 6)[6]}
+                for bits in _card_levels(from_graph6(key).rows, 6)[6]}
     # one search per labelled card would be 1719
     assert len(labelled) == 1719
     assert len(calls) == 235
