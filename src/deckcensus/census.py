@@ -24,8 +24,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import combinations, compress, islice, repeat
 from math import comb
 from operator import contains, eq, lt
@@ -101,6 +100,11 @@ class GraphFamily:
 
     order: int
     members: tuple[str, ...]
+    # card size -> phi vector -> members with that phi, in family order;
+    # filled by ``find_reconstructions``
+    _by_phi: dict[int, dict[tuple[int, ...], list[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -346,32 +350,19 @@ def count_violations(report: ClassReport, invariant: str) -> int:
 # realization search
 
 
-@lru_cache(maxsize=8)
-def _members_by_counts(members: tuple[str, ...]) -> dict[tuple[int, ...], list[int]]:
-    """Indices of ``members`` grouped by degree counts; n = 8 has 1213
-    groups.
-
-    A reloaded family is the one ``GraphFamily`` that
-    ``CensusCache.load_family`` decoded for its order, so each command
-    finds its entry by identity, and only hashes the member tuple.
-    """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(members):
-        groups.setdefault(_degree_counts_of_key(key), []).append(i)
-    return groups
-
-
-@lru_cache(maxsize=8)
-def _members_by_phi(members: tuple[str, ...], k: int) -> dict[tuple[int, ...], list[int]]:
-    """Sorted indices of ``members`` grouped by the phi vector of their
-    k-decks, computed once per degree-count vector by dot products with
-    ``counting._phi_columns``.  Distinct count vectors can share one."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for counts, indices in _members_by_counts(members).items():
-        groups.setdefault(_phi_of_counts(counts, k), []).extend(indices)
-    for indices in groups.values():
-        indices.sort()
-    return groups
+def _phi_index(members: Sequence[str], k: int) -> dict[tuple[int, ...], list[str]]:
+    """``members`` grouped by the phi vector of their k-decks, in order.
+    Phi is computed once per degree-count vector, by dot products with
+    ``counting._phi_columns``; distinct count vectors can share one."""
+    phi_of_counts: dict[tuple[int, ...], tuple[int, ...]] = {}
+    index: dict[tuple[int, ...], list[str]] = {}
+    for key in members:
+        counts = _degree_counts_of_key(key)
+        phi = phi_of_counts.get(counts)
+        if phi is None:
+            phi = phi_of_counts[counts] = _phi_of_counts(counts, k)
+        index.setdefault(phi, []).append(key)
+    return index
 
 
 def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
@@ -385,10 +376,10 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
 
     - phi: the deck's degree-occurrence totals must equal those of the
       member's degree counts (this also fixes the edge count, since
-      sum_j j * phi(j) = 2e * C(n-2, k-2)).  The family is indexed by
-      phi once per card size and process, from the one table of the
-      identity's coefficients, ``counting._phi_columns``, so this screen
-      is one dict lookup;
+      sum_j j * phi(j) = 2e * C(n-2, k-2)).  The family object indexes
+      its members by phi once per card size (``_phi_index``, from the
+      one table of the identity's coefficients,
+      ``counting._phi_columns``), so this screen is one dict lookup;
     - triangles (k >= 3): the member must have sum(mult * t(card)) /
       C(n-3, k-3) triangles, and a total that does not divide means no
       graph realizes the deck;
@@ -419,10 +410,11 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
                 four = derive_subdeck(four)
         except UnrealizableDeckError:
             return ()
-    members = family.members
+    index = family._by_phi.get(k)
+    if index is None:
+        index = family._by_phi[k] = _phi_index(family.members, k)
     found = []
-    for i in _members_by_phi(members, k).get(phi_vector(deck), ()):
-        key = members[i]
+    for key in index.get(phi_vector(deck), ()):
         if triangles is not None and _triangles_of_key(key) != triangles:
             continue
         if four is not None and _cards_of_key(key, 4) != four.entries:
@@ -481,7 +473,9 @@ def known_pairs(l: int) -> tuple[tuple[Graph, Graph, int], ...]:
 
 # Families that ``CensusCache.load_family`` decoded, by order.  Each was
 # decoded from bytes that matched the order's pin, so an order has one
-# possible content and an entry can never go stale.
+# possible content and an entry can never go stale.  Every command in a
+# process that loads an order reads this one object, and so one phi
+# index per card size (``GraphFamily._by_phi``).
 _DECODED_FAMILIES: dict[int, GraphFamily] = {}
 
 
@@ -507,10 +501,10 @@ class CensusCache:
 
     Every load of a family file hashes its bytes, but each order is
     decoded at most once per process: all loads that match the pin
-    return the same ``GraphFamily``.  The memo is keyed by verified
-    content, so it never goes stale.  A class file is checked with
-    whole-list operations, and a reload builds a member tuple only for
-    each run of two or more lines with one label.
+    return the same ``GraphFamily``, and so share its phi index.  The
+    memo is keyed by verified content, so it never goes stale.  A class
+    file is checked with whole-list operations, and a reload builds a
+    member tuple only for each run of two or more lines with one label.
     """
 
     def __init__(self, directory: str | os.PathLike):

@@ -93,9 +93,12 @@ class Deck:
 # The per-key caches (decoded graph, degree counts, connectedness,
 # triangle count, and the card tallies of :func:`_cards_of_key`) have
 # room for every graph on at most 8 vertices (13598 keys, the A000088
-# counts summed), so no n <= 8 workload evicts anything, while an n = 9
-# census or query streams past them instead of keeping a value for each
-# of its 274668 members.
+# counts summed), while an n = 9 census or query streams past them
+# instead of keeping a value for each of its 274668 members.  The card
+# tallies are keyed by (key, size), so for them that room holds per card
+# size only: a process that tallies every 8-vertex graph at several
+# sizes evicts.  One benchmark ``queries`` set-up and unit fill 651-715
+# tally entries (seeds 1001-1003), so the benchmark evicts nothing.
 _KEY_CACHE_SIZE = 1 << 14
 
 

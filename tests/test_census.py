@@ -14,6 +14,7 @@ from deckcensus import census, counting, decks
 from deckcensus.canon import canonical_key
 from deckcensus.census import (
     CensusCache,
+    GraphFamily,
     deck_classes,
     emit_report,
     enumerate_graphs,
@@ -25,6 +26,7 @@ from deckcensus.census import (
 from deckcensus.cli import dispatch
 from deckcensus.counting import phi_diff_residual, phi_formula
 from deckcensus.decks import Deck, _cards_of_key, _key_is_connected, compute_deck
+from deckcensus.decks import _degree_counts_of_key
 from deckcensus.decks import deck_equal, derive_subdeck
 from deckcensus.decks import entry_text, serialize_deck
 from deckcensus.graphs import (
@@ -400,7 +402,7 @@ def test_phi_table_equals_phi_formula(family5, family6, family7, family8):
     families = {5: family5, 6: family6, 7: family7, 8: family8}
     for n in range(1, 9):
         family = families.get(n) or enumerate_graphs(n)
-        vectors = list(census._members_by_counts(family.members))
+        vectors = list(dict.fromkeys(map(_degree_counts_of_key, family.members)))
         for k in range(1, n + 1):
             # the cutoff: column j is nonzero exactly on [j, j + n - k]
             for j, column in enumerate(counting._phi_columns(n, k)):
@@ -477,6 +479,30 @@ def test_repeated_screens_walk_no_graph(monkeypatch, family7):
         assert walked == [], key
     assert derive_subdeck(fresh) == expected
     assert walked == []
+
+
+def test_phi_index_is_built_once_per_family_and_card_size(monkeypatch, family7):
+    # the index lives on the family object: built by the first query at a
+    # card size, and never part of the family's equality, hash or repr
+    phi_index = census._phi_index
+    built = []
+
+    def counted(members, k):
+        built.append(k)
+        return phi_index(members, k)
+
+    monkeypatch.setattr(census, "_phi_index", counted)
+    family7._by_phi.clear()  # an earlier test may have indexed it
+    queries = [(key, 5) for key in family7.members[500:502]]
+    queries.append((family7.members[500], 4))
+    for key, k in queries:
+        assert key in find_reconstructions(compute_deck(from_graph6(key), k), family7)
+    assert built == [5, 4]
+    fresh = GraphFamily(7, family7.members)
+    assert fresh == family7
+    assert hash(fresh) == hash(family7)
+    assert repr(fresh) == repr(family7)
+    assert "_by_phi" not in repr(family7)
 
 
 def test_find_reconstructions_simple_cases(family6, family7):

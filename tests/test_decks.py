@@ -151,8 +151,9 @@ def test_clear_cache_is_transparent_for_decks():
 
 
 def test_decode_cache_is_bounded_above_every_small_family():
-    # every graph on at most 8 vertices fits, so no n <= 8 work evicts,
-    # and an n = 9 family streams past every per-key cache
+    # every graph on at most 8 vertices fits per card size (the card
+    # tallies are kept per key and size), and an n = 9 family streams
+    # past every per-key cache
     assert sum(GRAPH_COUNTS[:8]) == 13598
     for cached in (_graph_of_key, _degree_counts_of_key, _key_is_connected,
                    _triangles_of_key, _cards_of_key):
