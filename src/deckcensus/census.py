@@ -284,65 +284,61 @@ def deck_classes(
     return report
 
 
-INVARIANTS = ("degree_list", "connectedness", "isomorphism")
-
-
-def _member_value(invariant: str, key: str):
-    """The value of ``invariant`` on one family member."""
-    if invariant == "degree_list":
-        return degree_list(_graph_of_key(key))
-    if invariant == "connectedness":
-        return _key_is_connected(key)
+# The invariants ``verify`` checks, one row each: name -> (its value on a
+# member, read from the member's canonical key; the witness text for two
+# differing values).  Rows look ``degree_list`` and ``_key_is_connected``
+# up on this module at call time, so they call whatever is bound there.
+INVARIANTS = {
+    "degree_list": (
+        lambda key: degree_list(_graph_of_key(key)),
+        lambda *lists: "degree lists " + " vs ".join(
+            "(" + ",".join(map(str, d)) + ")" for d in lists),
+    ),
+    "connectedness": (
+        lambda key: _key_is_connected(key),
+        lambda *cs: " vs ".join("connected" if c else "disconnected" for c in cs),
+    ),
     # distinct canonical keys in one deck class are non-isomorphic
-    return key
+    "isomorphism": (lambda key: key, lambda *_: "non-isomorphic graphs sharing a deck"),
+}
 
 
-def _pair_witness(invariant: str, value_a, value_b) -> str | None:
-    if value_a == value_b:
-        return None
-    if invariant == "degree_list":
-        fmt = lambda d: "(" + ",".join(map(str, d)) + ")"
-        return f"degree lists {fmt(value_a)} vs {fmt(value_b)}"
-    if invariant == "connectedness":
-        word = lambda c: "connected" if c else "disconnected"
-        return f"{word(value_a)} vs {word(value_b)}"
-    return "non-isomorphic graphs sharing a deck"
-
-
-def _check_invariant(invariant: str) -> None:
+def _valued_classes(report: ClassReport, invariant: str):
+    """``invariant``'s witness, and each shared class as (key, value) pairs."""
     if invariant not in INVARIANTS:
-        raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
+        choices = tuple(INVARIANTS)
+        raise ValueError(f"unknown invariant {invariant!r}; choose from {choices}")
+    value, witness = INVARIANTS[invariant]
+    return witness, ([(k, value(k)) for k in members] for members in report.shared)
 
 
 def verify_invariant(report: ClassReport, invariant: str) -> tuple[Violation, ...]:
-    """Every in-class pair that disagrees on ``invariant``, sorted.
+    """Every in-class pair that disagrees on ``invariant`` (see ``INVARIANTS``), sorted.
 
     Only the shared classes are read (a singleton has no pair), and each
     of their members is decoded once.
     """
-    _check_invariant(invariant)
+    witness, classes = _valued_classes(report, invariant)
     violations: list[Violation] = []
-    for members in report.shared:
-        valued = [(key, _member_value(invariant, key)) for key in members]
+    for valued in classes:
         for (key_a, value_a), (key_b, value_b) in combinations(valued, 2):
-            witness = _pair_witness(invariant, value_a, value_b)
-            if witness is not None:
-                violations.append(Violation(key_a, key_b, witness))
+            if value_a != value_b:
+                violations.append(Violation(key_a, key_b, witness(value_a, value_b)))
     violations.sort(key=lambda v: (v.key_a, v.key_b))
     return tuple(violations)
 
 
 def count_violations(report: ClassReport, invariant: str) -> int:
     """How many pairs ``verify_invariant`` would return, counted without
-    listing them: a shared class of m members on which ``invariant``
-    takes each value v c_v times has C(m, 2) - sum_v C(c_v, 2)
-    disagreeing pairs.  Linear in the shared members, so it also serves
-    classes too large to list."""
-    _check_invariant(invariant)
+    listing them: a shared class of m members on which ``invariant`` (a
+    name in ``INVARIANTS``) takes each value v c_v times has C(m, 2) -
+    sum_v C(c_v, 2) disagreeing pairs.  Linear in the shared members, so
+    it also serves classes too large to list."""
+    _, classes = _valued_classes(report, invariant)
     count = 0
-    for members in report.shared:
-        values = Counter(_member_value(invariant, key) for key in members)
-        count += comb(len(members), 2) - sum(comb(c, 2) for c in values.values())
+    for valued in classes:
+        values = Counter(value for _, value in valued)
+        count += comb(len(valued), 2) - sum(comb(c, 2) for c in values.values())
     return count
 
 

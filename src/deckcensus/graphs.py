@@ -12,6 +12,7 @@ x(0,1), x(0,2), x(1,2), x(0,3), ... is packed column-wise into big-endian
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, Sequence
 
 MAX_VERTICES = 10
@@ -247,7 +248,30 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph.from_rows(rows)
 
 
-_NAMED_PREFIXES = ("path", "cycle", "complete", "empty", "claw")
+# Each named-graph atom: its builder, and the size it takes when the spec
+# gives none (None: the atom needs one).
+_NAMED_ATOMS = {
+    "path": (path_graph, None),
+    "cycle": (cycle_graph, None),
+    "complete": (complete_graph, None),
+    "empty": (empty_graph, None),
+    "claw": (claw_subdivided, 0),
+}
+
+
+def _named_atom(part: str) -> Graph:
+    part = part.strip()
+    for prefix, (builder, default) in _NAMED_ATOMS.items():
+        if part.startswith(prefix):
+            arg = part[len(prefix):]
+            break
+    else:
+        raise ValueError(f"unknown named-graph atom {part!r}")
+    if arg.isdecimal():
+        return builder(int(arg))
+    if arg or default is None:
+        raise ValueError(f"atom {part!r} needs an integer size")
+    return builder(default)
 
 
 def named_graph(spec: str) -> Graph:
@@ -257,33 +281,7 @@ def named_graph(spec: str) -> Graph:
     ``claw`` and ``claw<t>`` (the claw with t subdivided edges, t in
     0..2).  ``+`` joins atoms by disjoint union.
     """
-    parts = spec.strip().lower().split("+")
-    result: Graph | None = None
-    for part in parts:
-        part = part.strip()
-        for prefix in _NAMED_PREFIXES:
-            if part.startswith(prefix):
-                arg = part[len(prefix):]
-                break
-        else:
-            raise ValueError(f"unknown named-graph atom {part!r}")
-        if prefix == "claw":
-            t = int(arg) if arg else 0
-            g = claw_subdivided(t)
-        else:
-            if not arg.isdigit():
-                raise ValueError(f"atom {part!r} needs an integer size")
-            builder = {
-                "path": path_graph,
-                "cycle": cycle_graph,
-                "complete": complete_graph,
-                "empty": empty_graph,
-            }[prefix]
-            g = builder(int(arg))
-        result = g if result is None else disjoint_union(result, g)
-    if result is None:
-        raise ValueError("empty named-graph spec")
-    return result
+    return reduce(disjoint_union, map(_named_atom, spec.strip().lower().split("+")))
 
 
 # ---------------------------------------------------------------------------

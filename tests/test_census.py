@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from deckcensus.canon import canonical_key
 from deckcensus.census import (
     CensusCache,
     GraphFamily,
+    count_violations,
     deck_classes,
     emit_report,
     enumerate_graphs,
@@ -355,8 +357,11 @@ def test_verify_invariant_reports(family6):
     assert [(v.key_a, v.key_b) for v in deg] == sorted(
         (v.key_a, v.key_b) for v in deg
     )
-    with pytest.raises(ValueError):
-        verify_invariant(rep, "chromatic_number")
+    message = ("unknown invariant 'chromatic_number'; choose from "
+               "('degree_list', 'connectedness', 'isomorphism')")
+    for check in (verify_invariant, count_violations):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(rep, "chromatic_number")
 
 
 def test_isomorphism_invariant_counts_shared_decks(family5):

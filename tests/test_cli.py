@@ -528,6 +528,14 @@ N6_TSV_SHA256 = {
         "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
         "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
     ),
+    "isomorphism": (
+        "c00ba00e9b751a83edf2a73172fde26612ebf1000a1aa713018cd195f39ba141",
+        "32ba8f26a06631f82b921ba076e6e16492ae644c67958152d25e99b3d5bb6178",
+        "31da39633420eec66050e46af0aa07a7b71e1a27d0678c46ffe3aa7aa749bbd0",
+        "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
+        "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
+        "8019782464a32d04501e6cd16c1f6ebd753a11427682940642aba82cefa9f0db",
+    ),
 }
 
 

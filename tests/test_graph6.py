@@ -1,6 +1,7 @@
 """graph6 codec tests, cross-checked against networkx as reference codec."""
 
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -114,7 +115,15 @@ def test_named_graph_atoms():
     assert named_graph("path4") == path_graph(4)
     assert named_graph("claw").n == 4
     assert named_graph("claw2").n == 6
-    with pytest.raises(ValueError):
-        named_graph("blob3")
+    for spec, message in [
+        ("blob3", "unknown named-graph atom 'blob3'"),
+        ("", "unknown named-graph atom ''"),
+        ("pathx", "atom 'pathx' needs an integer size"),
+        ("clawx", "atom 'clawx' needs an integer size"),
+        ("claw-1", "atom 'claw-1' needs an integer size"),
+        ("claw3", "subdivided edge count must be 0, 1, or 2, got 3"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            named_graph(spec)
     with pytest.raises(ValueError):
         named_graph("cycle9+path9")  # exceeds the vertex cap
