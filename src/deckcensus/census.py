@@ -18,14 +18,13 @@ results are identical for any worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import os
 import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from math import comb
 from operator import contains, eq, lt
 from pathlib import Path
@@ -96,10 +95,16 @@ def _class_label(text: str) -> str:
 
 @dataclass(frozen=True)
 class GraphFamily:
-    """All n-vertex graphs up to isomorphism, one canonical key each."""
+    """All n-vertex graphs up to isomorphism, one canonical key each,
+    sorted."""
 
     order: int
     members: tuple[str, ...]
+    # degree counts -> members with those counts, in family order; filled
+    # once by ``_phi_index``
+    _by_counts: dict[tuple[int, ...], list[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     # card size -> phi vector -> members with that phi, in family order;
     # filled by ``find_reconstructions``
     _by_phi: dict[int, dict[tuple[int, ...], list[str]]] = field(
@@ -155,6 +160,8 @@ def _map_chunks(fn, items: Sequence, jobs: int, *args) -> list:
     chunk in this process, or 4 * ``jobs`` chunks over ``jobs`` workers."""
     if jobs == 1 or len(items) < 2:
         return fn(items, *args)
+    import concurrent.futures  # only a pool needs it; it is slow to import
+
     step = -(-len(items) // (4 * jobs))
     chunks = [items[i : i + step] for i in range(0, len(items), step)]
     out: list = []
@@ -346,19 +353,23 @@ def count_violations(report: ClassReport, invariant: str) -> int:
 # realization search
 
 
-def _phi_index(members: Sequence[str], k: int) -> dict[tuple[int, ...], list[str]]:
-    """``members`` grouped by the phi vector of their k-decks, in order.
-    Phi is computed once per degree-count vector, by dot products with
-    ``counting._phi_columns``; distinct count vectors can share one."""
-    phi_of_counts: dict[tuple[int, ...], tuple[int, ...]] = {}
-    index: dict[tuple[int, ...], list[str]] = {}
-    for key in members:
-        counts = _degree_counts_of_key(key)
-        phi = phi_of_counts.get(counts)
-        if phi is None:
-            phi = phi_of_counts[counts] = _phi_of_counts(counts, k)
-        index.setdefault(phi, []).append(key)
-    return index
+def _phi_index(family: GraphFamily, k: int) -> dict[tuple[int, ...], list[str]]:
+    """``family``'s members grouped by the phi vector of their k-decks,
+    in family order.  Phi is computed once per degree-count vector
+    (``family._by_counts``, whose lists the index shares), by dot
+    products with ``counting._phi_columns``; the groups of count vectors
+    that share a phi vector are merged by sorting."""
+    by_counts = family._by_counts
+    if not by_counts:
+        for key in family.members:
+            by_counts.setdefault(_degree_counts_of_key(key), []).append(key)
+    groups: dict[tuple[int, ...], list[list[str]]] = {}
+    for counts, keys in by_counts.items():
+        groups.setdefault(_phi_of_counts(counts, k), []).append(keys)
+    return {
+        phi: runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
+        for phi, runs in groups.items()
+    }
 
 
 def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
@@ -372,8 +383,9 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
 
     - phi: the deck's degree-occurrence totals must equal those of the
       member's degree counts (this also fixes the edge count, since
-      sum_j j * phi(j) = 2e * C(n-2, k-2)).  The family object indexes
-      its members by phi once per card size (``_phi_index``, from the
+      sum_j j * phi(j) = 2e * C(n-2, k-2)).  The family object groups
+      its members by degree counts once, and indexes them by phi once
+      per card size (``_phi_index``, one phi per count vector, from the
       one table of the identity's coefficients,
       ``counting._phi_columns``), so this screen is one dict lookup;
     - triangles (k >= 3): the member must have sum(mult * t(card)) /
@@ -408,7 +420,7 @@ def find_reconstructions(deck: Deck, family: GraphFamily) -> tuple[str, ...]:
             return ()
     index = family._by_phi.get(k)
     if index is None:
-        index = family._by_phi[k] = _phi_index(family.members, k)
+        index = family._by_phi[k] = _phi_index(family, k)
     found = []
     for key in index.get(phi_vector(deck), ()):
         if triangles is not None and _triangles_of_key(key) != triangles:
@@ -470,7 +482,8 @@ def known_pairs(l: int) -> tuple[tuple[Graph, Graph, int], ...]:
 # Families that ``CensusCache.load_family`` decoded, by order.  Each was
 # decoded from bytes that matched the order's pin, so an order has one
 # possible content and an entry can never go stale.  Every command in a
-# process that loads an order reads this one object, and so one phi
+# process that loads an order reads this one object, and so one
+# grouping by degree counts (``GraphFamily._by_counts``) and one phi
 # index per card size (``GraphFamily._by_phi``).
 _DECODED_FAMILIES: dict[int, GraphFamily] = {}
 

@@ -178,13 +178,20 @@ def _gather_tables(m: int, size: int) -> tuple[list[int], ...]:
     """One table per size-subset S of range(m), in colex order (the order
     of the walk's levels): ``table[row]`` is the bits of ``row`` on S,
     first vertex of S most significant, that is the column of a vertex
-    with neighbourhood ``row`` against S."""
+    with neighbourhood ``row`` against S.  The table doubles once per
+    vertex v: the entry of a row with highest set bit v is the entry of
+    that row less bit v, plus v's weight on S."""
     subsets = sorted(combinations(range(m), size), key=lambda s: s[::-1])
-    return tuple(
-        [sum((row >> v & 1) << (size - 1 - i) for i, v in enumerate(subset))
-         for row in range(1 << m)]
-        for subset in subsets
-    )
+    tables = []
+    for subset in subsets:
+        weight = [0] * m
+        for i, v in enumerate(subset):
+            weight[v] = 1 << size - 1 - i
+        table = [0]
+        for w in weight:
+            table += [entry | w for entry in table]
+        tables.append(table)
+    return tuple(tables)
 
 
 def _extend(cards: list[int], size: int, v: int, row: int) -> list[int]:

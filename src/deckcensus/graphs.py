@@ -8,11 +8,17 @@ The module also implements the graph6 interchange codec (single-byte
 size form only): byte 0 is ``63 + n``, and the upper triangle
 x(0,1), x(0,2), x(1,2), x(0,3), ... is packed column-wise into big-endian
 6-bit groups, each offset by 63, with the final group zero-padded.
+Decoding reads each data byte through a table for its order and
+position, built on the first decode of that order: the entry of a byte
+is the adjacency its six bits set, as n 16-bit rows packed in one int,
+so a graph's rows are the sum of its bytes' entries.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+import sys
+from functools import cache, reduce
+from operator import getitem
 from typing import Iterable, Sequence
 
 MAX_VERTICES = 10
@@ -143,6 +149,29 @@ def to_graph6(g: Graph) -> str:
     return _g6_from_bits(g.n, _triangle_bits(g.rows))
 
 
+@cache
+def _group_tables(n: int) -> tuple[list[int], ...]:
+    """The decode tables of n-vertex graph6 text, one per data byte:
+    entry c of table d (c in 63..126) is the adjacency set by the
+    triangle bits 6d..6d+5 that the group c - 63 carries, as n 16-bit
+    rows in one int, row i at bit 16 * i.  Padding bits, and entries
+    below 63, are 0.  No two bytes set the same bit, so a graph's rows
+    are the sum of its bytes' entries."""
+    # triangle bit x(i, j) sets bit j of row i and bit i of row j
+    weights = [
+        1 << 16 * i + j | 1 << 16 * j + i for j in range(1, n) for i in range(j)
+    ]
+    weights += [0] * (-len(weights) % 6)
+    tables = []
+    for first in range(0, len(weights), 6):
+        entries = [0]
+        # the group's last bit is its least significant
+        for w in reversed(weights[first:first + 6]):
+            entries += [entry | w for entry in entries]
+        tables.append([0] * 63 + entries)
+    return tuple(tables)
+
+
 def from_graph6(text: str) -> Graph:
     """Decode graph6 text into a graph, strictly.
 
@@ -170,20 +199,22 @@ def from_graph6(text: str) -> Graph:
         )
     if len(text) > 1 + ndata:
         raise Graph6Error(f"trailing garbage at byte {1 + ndata}")
-    val = 0
-    for off in range(1, 1 + ndata):
-        group = ord(text[off]) - 63
-        if not 0 <= group <= 63:
-            raise Graph6Error(f"byte at offset {off} outside graph6 range 63..126")
-        val = (val << 6) | group
+    data = text[1:]
+    if data and (min(data) < "?" or max(data) > "~"):  # chr(63), chr(126)
+        for off in range(1, 1 + ndata):
+            if not 63 <= ord(text[off]) <= 126:
+                raise Graph6Error(f"byte at offset {off} outside graph6 range 63..126")
+    data = data.encode()
     pad = 6 * ndata - nbits
-    if pad and val & ((1 << pad) - 1):
+    if pad and (data[-1] - 63) & ((1 << pad) - 1):
         raise Graph6Error(f"nonzero padding bits in final byte at offset {ndata}")
+    packed = sum(map(getitem, _group_tables(size), data))
     # rows decoded from upper-triangle bits are symmetric with a zero
     # diagonal by construction, so they skip from_rows's checks
     g = Graph.__new__(Graph)
     object.__setattr__(g, "n", size)
-    object.__setattr__(g, "rows", tuple(_rows_from_bits(size, val >> pad)))
+    rows = memoryview(packed.to_bytes(2 * size, sys.byteorder)).cast("H")
+    object.__setattr__(g, "rows", tuple(rows))
     return g
 
 

@@ -48,6 +48,16 @@ def random_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, [p for p in pairs if rng.random() < 0.5])
 
 
+def graph6_bitwise(text: str) -> Graph:
+    """Reference graph6 decoder for valid text with no header: the data
+    bytes' 6-bit groups, most significant bit first, read one bit at a
+    time as x(0,1), x(0,2), x(1,2), x(0,3), ..."""
+    n = ord(text[0]) - 63
+    bits = [(ord(c) - 63) >> (5 - p) & 1 for c in text[1:] for p in range(6)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
+
+
 def permuted(g: Graph, perm) -> Graph:
     """Relabel: vertex v of ``g`` becomes perm[v]."""
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

@@ -26,7 +26,7 @@ from deckcensus.census import (
     verify_invariant,
 )
 from deckcensus.cli import dispatch
-from deckcensus.counting import phi_diff_residual, phi_formula
+from deckcensus.counting import _phi_of_counts, phi_diff_residual, phi_formula
 from deckcensus.decks import Deck, _cards_of_key, _key_is_connected, compute_deck
 from deckcensus.decks import _degree_counts_of_key
 from deckcensus.decks import deck_equal, derive_subdeck
@@ -492,9 +492,9 @@ def test_phi_index_is_built_once_per_family_and_card_size(monkeypatch, family7):
     phi_index = census._phi_index
     built = []
 
-    def counted(members, k):
+    def counted(family, k):
         built.append(k)
-        return phi_index(members, k)
+        return phi_index(family, k)
 
     monkeypatch.setattr(census, "_phi_index", counted)
     family7._by_phi.clear()  # an earlier test may have indexed it
@@ -503,11 +503,24 @@ def test_phi_index_is_built_once_per_family_and_card_size(monkeypatch, family7):
     for key, k in queries:
         assert key in find_reconstructions(compute_deck(from_graph6(key), k), family7)
     assert built == [5, 4]
+    # the degree-count groups are filled once, and are private too
+    assert sum(map(len, family7._by_counts.values())) == len(family7)
     fresh = GraphFamily(7, family7.members)
+    assert fresh._by_counts == {} and fresh._by_phi == {}
     assert fresh == family7
     assert hash(fresh) == hash(family7)
     assert repr(fresh) == repr(family7)
     assert "_by_phi" not in repr(family7)
+    assert "_by_counts" not in repr(family7)
+
+
+def test_phi_index_groups_members_by_phi_in_family_order(family7):
+    for k in range(1, 7):
+        expected: dict = {}
+        for key in family7.members:
+            phi = _phi_of_counts(_degree_counts_of_key(key), k)
+            expected.setdefault(phi, []).append(key)
+        assert census._phi_index(family7, k) == expected, k
 
 
 def test_find_reconstructions_simple_cases(family6, family7):

@@ -23,6 +23,7 @@ from deckcensus.decks import (
     _cards_of_key,
     _deck_tally,
     _degree_counts_of_key,
+    _gather_tables,
     _graph_of_key,
     _key_is_connected,
     _triangles_of_key,
@@ -160,6 +161,20 @@ def test_decode_cache_is_bounded_above_every_small_family():
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None, cached.__name__
         assert maxsize >= 13598, cached.__name__
+
+
+def test_gather_tables_equal_the_bit_by_bit_definition():
+    # entry ``row`` of the table of subset S: the bits of row on S, the
+    # first vertex of S most significant; subsets in colex order
+    for m in range(10):
+        for size in range(m + 1):
+            subsets = sorted(combinations(range(m), size), key=lambda s: s[::-1])
+            expected = tuple(
+                [sum((row >> v & 1) << (size - 1 - i) for i, v in enumerate(subset))
+                 for row in range(1 << m)]
+                for subset in subsets
+            )
+            assert _gather_tables(m, size) == expected, (m, size)
 
 
 def test_cards_of_key_is_the_deck_of_the_key():

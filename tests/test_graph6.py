@@ -19,7 +19,7 @@ from deckcensus.graphs import (
     to_graph6,
 )
 
-from .helpers import random_graph
+from .helpers import graph6_bitwise, random_graph
 
 
 def nx_encode(g: Graph) -> str:
@@ -78,6 +78,51 @@ def test_decode_errors_name_offsets(text, offset_word):
     with pytest.raises(Graph6Error) as err:
         from_graph6(text)
     assert offset_word in str(err.value)
+
+
+def test_decoder_matches_bitwise_reference_on_every_small_graph():
+    # every bit pattern of the upper triangle for n <= 5, padding zero
+    for n in range(1, 6):
+        nbits = n * (n - 1) // 2
+        pad = -nbits % 6
+        for mask in range(1 << nbits):
+            bits = mask << pad
+            text = chr(63 + n) + "".join(
+                chr(63 + (bits >> shift & 63))
+                for shift in range(nbits + pad - 6, -1, -6)
+            )
+            g = from_graph6(text)
+            assert g == graph6_bitwise(text), text
+            assert type(g.rows) is tuple and all(type(r) is int for r in g.rows)
+
+
+def test_decoder_matches_bitwise_reference_on_random_graphs():
+    rng = random.Random(2022)
+    for n in range(6, 11):
+        for _ in range(400):
+            g = random_graph(rng, n)
+            text = to_graph6(g)
+            assert from_graph6(text) == graph6_bitwise(text) == g, text
+
+
+def test_decoder_errors_name_every_data_offset_at_n10():
+    # n = 10: 45 triangle bits in 8 data bytes, the last with 3 padding bits
+    valid = to_graph6(complete_graph(10))
+    assert len(valid) == 9
+    for off in range(1, 9):
+        for bad in (">", "\x7f", "\xe9", "\udc80"):
+            text = valid[:off] + bad + valid[off + 1:]
+            message = f"byte at offset {off} outside graph6 range 63..126"
+            with pytest.raises(Graph6Error, match=f"^{re.escape(message)}$"):
+                from_graph6(text)
+    # a bad byte is reported before nonzero padding
+    with pytest.raises(Graph6Error, match="^byte at offset 3 "):
+        from_graph6(valid[:3] + ">" + valid[4:8] + "~")
+    for low in (1, 2, 4, 7):
+        text = valid[:8] + chr(ord(valid[8]) + low)  # group 56 + low
+        message = "nonzero padding bits in final byte at offset 8"
+        with pytest.raises(Graph6Error, match=f"^{re.escape(message)}$"):
+            from_graph6(text)
 
 
 def test_roundtrip_is_identity_on_labelings():

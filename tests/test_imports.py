@@ -15,6 +15,9 @@ Unit tests do not count, so a name only its own tests call is flagged.
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -146,3 +149,19 @@ def test_every_public_name_is_read():
     readers += sorted((ROOT / "perfbench").glob("*.py"))
     trees = [ast.parse(path.read_text()) for path in readers]
     assert unread_public_names(modules, trees) == []
+
+
+def test_import_builds_no_decode_table_and_no_worker_pool():
+    # a fresh interpreter: the graph6 tables are built on first decode,
+    # and concurrent.futures is imported only for a worker pool
+    probe = (
+        "import sys, deckcensus\n"
+        "from deckcensus import graphs\n"
+        "print('concurrent.futures' in sys.modules,"
+        " graphs._group_tables.cache_info().currsize)\n"
+    )
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False 0\n"
