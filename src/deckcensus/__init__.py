@@ -11,6 +11,7 @@ from .census import (
     CensusCache,
     ClassReport,
     GraphFamily,
+    SharedClasses,
     Violation,
     count_violations,
     deck_classes,
@@ -19,6 +20,7 @@ from .census import (
     find_reconstructions,
     known_pairs,
     reconstructibility_number,
+    shared_classes,
     verify_invariant,
 )
 from .counting import (

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import canon
-from .counting import _phi_of_counts
+from .counting import _phi_of_counts, counts_to_degree_list
 from .counting import phi_formula  # noqa: F401 (perfbench/tracing.py binds it)
 from .decks import Deck, compute_deck, derive_subdeck, phi_vector
 from .decks import deck_equal  # noqa: F401 (perfbench/tracing.py binds it)
@@ -39,6 +39,7 @@ from .decks import UnrealizableDeckError, _degree_counts_of_key, _graph_of_key
 from .decks import _cards_of_key, _deck_tally, _key_is_connected, _triangles_of_key
 from .decks import entry_text
 from .decks import edge_count_from_deck  # noqa: F401 (perfbench/tracing.py binds it)
+from .graphs import degree_list  # noqa: F401 (perfbench/tracing.py binds it)
 from .graphs import (
     _REVERSED,
     Graph,
@@ -46,7 +47,6 @@ from .graphs import (
     _triangle_bits,
     claw_subdivided,
     cycle_graph,
-    degree_list,
     disjoint_union,
     empty_graph,
     path_graph,
@@ -123,22 +123,32 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class ClassReport:
-    """Deck-class partition of a family.
+class SharedClasses:
+    """What ``verify`` and a class summary read of a deck-class partition.
 
-    ``lines`` holds one sorted ``digest<TAB>key`` line per member: the
-    body of the class file and of ``classes --format tsv``.  ``shared``
-    holds the sorted members of each class of two or more members, in
-    label order; only they can hold a violation.  Every other member is
-    a class of its own, so the partition has ``len(lines) -
-    sum(len(members) - 1 for members in shared)`` classes, and no object
-    is built for a singleton.
+    ``members`` is the size of the family.  ``shared`` holds the sorted
+    members of each class of two or more members, in label order; only
+    they can hold a violation.  ``labels`` holds their labels, in the same
+    order, for the shared file.  Every other member is a class of its
+    own, so the partition has ``members - sum(len(keys) - 1 for keys in
+    shared)`` classes, and no object is built for a singleton.
     """
 
     order: int
     card_size: int
-    lines: tuple[str, ...]
+    members: int
     shared: tuple[tuple[str, ...], ...]
+    labels: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class ClassReport(SharedClasses):
+    """Deck-class partition of a family: its shared classes, and in
+    ``lines`` one sorted ``digest<TAB>key`` line per member (so
+    ``members == len(lines)``), the body of the class file and of
+    ``classes --format tsv``."""
+
+    lines: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +256,12 @@ def _deck_chunk(keys: Sequence[str], k: int) -> list[tuple[str, str]]:
     ]
 
 
+def _check_partition(family: GraphFamily, k: int, jobs: int) -> None:
+    if not 1 <= k <= family.order:
+        raise ValueError(f"card size {k} out of range for order {family.order}")
+    _check_jobs(jobs)
+
+
 def deck_classes(
     family: GraphFamily,
     k: int,
@@ -260,19 +276,52 @@ def deck_classes(
     class TSVs and cache files: a (vanishingly unlikely) collision yields
     two classes that share a label, never a merged class.  The report
     holds every member's ``digest<TAB>key`` line, sorted once here, and
-    the members of each class of two or more members.  A class file
-    names classes by label only, so it is stored only when the labels
-    are pairwise distinct.  A cached class file is read instead when it
-    is exactly what this function would store; any other file there is
+    the members of each class of two or more members.  Cache files name
+    classes by label only, so they are stored only when the labels are
+    pairwise distinct.  A cached class file is read instead when it is
+    exactly what this function would store; any other file there is
     recomputed and overwritten (see ``CensusCache``).
     """
-    if not 1 <= k <= family.order:
-        raise ValueError(f"card size {k} out of range for order {family.order}")
-    _check_jobs(jobs)
+    _check_partition(family, k, jobs)
     if cache is not None:
         cached = cache.load_classes(family, k)
         if cached is not None:
             return cached
+    return _fresh_classes(family, k, jobs, cache)
+
+
+def shared_classes(
+    family: GraphFamily,
+    k: int,
+    jobs: int = 1,
+    cache: "CensusCache | None" = None,
+) -> SharedClasses:
+    """The member count and shared classes of ``family``'s k-deck
+    partition, all that ``verify`` and a class summary read.
+
+    A cached shared file is read when it is exactly what
+    ``CensusCache.store_shared`` would write, and no member line is
+    built.  Otherwise the partition comes from a class file that is
+    exactly what ``deck_classes`` would store, with no card walked, or
+    else from a fresh census, and the shared file is stored with it.
+    """
+    _check_partition(family, k, jobs)
+    if cache is not None:
+        cached = cache.load_shared(family, k)
+        if cached is not None:
+            return cached
+        report = cache.load_classes(family, k)
+        if report is not None:
+            cache.store_shared(report)
+            return report
+    return _fresh_classes(family, k, jobs, cache)
+
+
+def _fresh_classes(
+    family: GraphFamily, k: int, jobs: int, cache: "CensusCache | None"
+) -> ClassReport:
+    """``deck_classes`` without the cached class file: walk every
+    member's cards, and store the result when its labels are distinct."""
     rows = _map_chunks(_deck_chunk, family.members, jobs, k)
 
     by_text: dict[str, list[str]] = {}
@@ -280,12 +329,13 @@ def deck_classes(
         by_text.setdefault(text, []).append(key)
     labels = {text: _class_label(text) for text in by_text}
     lines = tuple(sorted(f"{labels[text]}\t{key}" for key, text in rows))
-    shared = tuple(members for _, members in sorted(
+    shared = sorted(
         (labels[text], tuple(sorted(members)))
         for text, members in by_text.items()
         if len(members) > 1
-    ))
-    report = ClassReport(family.order, k, lines, shared)
+    )
+    report = ClassReport(family.order, k, len(lines), tuple(m for _, m in shared),
+                         tuple(label for label, _ in shared), lines)
     if cache is not None and len(set(labels.values())) == len(labels):
         cache.store_classes(report)
     return report
@@ -293,13 +343,16 @@ def deck_classes(
 
 # The invariants ``verify`` checks, one row each: name -> (its value on a
 # member, read from the member's canonical key; the witness text for two
-# differing values).  Rows look ``degree_list`` and ``_key_is_connected``
-# up on this module at call time, so they call whatever is bound there.
+# differing values).  Rows look ``_degree_counts_of_key`` and
+# ``_key_is_connected`` up on this module at call time, so they call
+# whatever is bound there; both keep their value per key, so repeated
+# checks in one process decode and count each member once.  Degree counts
+# are equal exactly when degree lists are, and the witness prints lists.
 INVARIANTS = {
     "degree_list": (
-        lambda key: degree_list(_graph_of_key(key)),
-        lambda *lists: "degree lists " + " vs ".join(
-            "(" + ",".join(map(str, d)) + ")" for d in lists),
+        lambda key: _degree_counts_of_key(key),
+        lambda *counts: "degree lists " + " vs ".join(
+            "(" + ",".join(map(str, counts_to_degree_list(c))) + ")" for c in counts),
     ),
     "connectedness": (
         lambda key: _key_is_connected(key),
@@ -310,7 +363,7 @@ INVARIANTS = {
 }
 
 
-def _valued_classes(report: ClassReport, invariant: str):
+def _valued_classes(report: SharedClasses, invariant: str):
     """``invariant``'s witness, and each shared class as (key, value) pairs."""
     if invariant not in INVARIANTS:
         choices = tuple(INVARIANTS)
@@ -319,7 +372,7 @@ def _valued_classes(report: ClassReport, invariant: str):
     return witness, ([(k, value(k)) for k in members] for members in report.shared)
 
 
-def verify_invariant(report: ClassReport, invariant: str) -> tuple[Violation, ...]:
+def verify_invariant(report: SharedClasses, invariant: str) -> tuple[Violation, ...]:
     """Every in-class pair that disagrees on ``invariant`` (see ``INVARIANTS``), sorted.
 
     Only the shared classes are read (a singleton has no pair), and each
@@ -335,7 +388,7 @@ def verify_invariant(report: ClassReport, invariant: str) -> tuple[Violation, ..
     return tuple(violations)
 
 
-def count_violations(report: ClassReport, invariant: str) -> int:
+def count_violations(report: SharedClasses, invariant: str) -> int:
     """How many pairs ``verify_invariant`` would return, counted without
     listing them: a shared class of m members on which ``invariant`` (a
     name in ``INVARIANTS``) takes each value v c_v times has C(m, 2) -
@@ -495,18 +548,27 @@ class CensusCache:
     ``classes_n{n}_k{k}.tsv`` starts with the header line
     ``#deckcensus-classes v1 n=N k=K members=M sha256=H``, where H is
     the sha256 of the rest of the file: ``digestHex<TAB>canonicalKey``
-    lines sorted by digest then key.  Files are written atomically
-    (write-then-rename).
+    lines sorted by digest then key.  ``shared_n{n}_k{k}.tsv``, written
+    beside it, starts with ``#deckcensus-shared v1 n=N k=K members=M
+    sha256=H`` (M is still the family size), then one
+    ``digestHex<TAB>key<TAB>key...`` line per class of two or more
+    members, its keys sorted, the lines in label order.  Files are
+    written atomically (write-then-rename).
 
     The pins in ``FAMILY_SHA256`` are the trust root: a family file
     whose sha256 is not its pin raises ``ValueError`` naming the file
     and the remedy, delete it to recompute.  An order outside
-    [1, MAX_CENSUS_ORDER] raises ``ValueError`` naming it.  A class
-    file is derived from the family, so one that is not exactly what
-    ``store_classes`` writes for this family and card size (its header,
-    then one line per member with one tab each, strictly increasing)
-    is reported on one stderr line and treated as missing, and
-    ``deck_classes`` recomputes and overwrites it.
+    [1, MAX_CENSUS_ORDER] raises ``ValueError`` naming it.  Class and
+    shared files are derived from the family, so one that is not
+    exactly what ``store_classes`` or ``store_shared`` writes for this
+    family and card size is reported on one stderr line and treated as
+    missing.  That means its header, a final newline, and then for a
+    class file one line per member with one tab each, and for a shared
+    file lines of a label and two or more keys, the keys of each line
+    and the lines strictly increasing, no key twice.  ``deck_classes`` recomputes and
+    overwrites a missing class file; ``shared_classes`` rebuilds a
+    missing shared file from a valid class file, walking no card, or
+    else from a fresh census.
 
     Every load of a family file hashes its bytes, but each order is
     decoded at most once per process: all loads that match the pin
@@ -514,6 +576,9 @@ class CensusCache:
     memo is keyed by verified content, so it never goes stale.  A class
     file is checked with whole-list operations, and a reload builds a
     member tuple only for each run of two or more lines with one label.
+    ``verify`` and class summaries read only the shared file, so a warm
+    one splits no member line: at n = 8 that file holds 888 classes
+    (1937 keys) for k = 4, 4 for k = 5 and none for k = 6 and 7.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -524,6 +589,9 @@ class CensusCache:
 
     def _classes_path(self, n: int, k: int) -> Path:
         return self.directory / f"classes_n{n}_k{k}.tsv"
+
+    def _shared_path(self, n: int, k: int) -> Path:
+        return self.directory / f"shared_n{n}_k{k}.tsv"
 
     def _write_atomic(self, path: Path, text: str) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -589,44 +657,91 @@ class CensusCache:
             else:
                 runs.append([i, i + 1])
         shared = tuple(tuple(keys[a : b + 1]) for a, b in runs)
-        return ClassReport(family.order, k, tuple(lines), shared)
+        return ClassReport(family.order, k, len(lines), shared,
+                           tuple(labels[a] for a, _ in runs), tuple(lines))
 
     def store_classes(self, report: ClassReport) -> None:
+        """Write the class file, and the shared file beside it."""
         body = "\n".join(report.lines) + "\n"
         header = _class_header(
-            report.order, report.card_size, len(report.lines), body.encode()
+            report.order, report.card_size, report.members, body.encode()
         )
         self._write_atomic(
             self._classes_path(report.order, report.card_size), header + "\n" + body
         )
+        self.store_shared(report)
+
+    def load_shared(self, family: GraphFamily, k: int) -> SharedClasses | None:
+        path = self._shared_path(family.order, k)
+        if not path.exists():
+            return None
+        header, _, body = path.read_bytes().partition(b"\n")
+        lines = body.decode(errors="replace").split("\n")
+        last = lines.pop()  # empty when the body ends in a newline
+        rows = [line.split("\t") for line in lines]
+        shared = [row[1:] for row in rows]
+        keys = list(chain.from_iterable(shared))
+        # exactly what ``store_shared`` writes: this header, then one line
+        # per shared class, a label and two or more sorted keys, each line
+        # greater than the last, and no key twice (so each line's keys
+        # strictly increase)
+        expected = _class_header(family.order, k, len(family), body, "shared")
+        if not (
+            header == expected.encode()
+            and not last
+            and min(map(len, shared), default=2) > 1
+            and shared == list(map(sorted, shared))
+            and all(map(lt, lines, islice(lines, 1, None)))
+            and len(set(keys)) == len(keys) <= len(family)
+        ):
+            print(f"{path}: not this census's shared-class file; rebuilding it",
+                  file=sys.stderr)
+            return None
+        return SharedClasses(family.order, k, len(family), tuple(map(tuple, shared)),
+                             tuple(row[0] for row in rows))
+
+    def store_shared(self, report: SharedClasses) -> None:
+        body = "".join(
+            "\t".join([label, *members]) + "\n"
+            for label, members in zip(report.labels, report.shared)
+        )
+        header = _class_header(
+            report.order, report.card_size, report.members, body.encode(), "shared"
+        )
+        self._write_atomic(
+            self._shared_path(report.order, report.card_size), header + "\n" + body
+        )
 
 
-def _class_header(n: int, k: int, members: int, body: bytes) -> str:
-    """The first line of a class file: format version, order, card size,
-    member count and the sha256 of the lines below it."""
+def _class_header(
+    n: int, k: int, members: int, body: bytes, kind: str = "classes"
+) -> str:
+    """The first line of a class or shared file: its kind, format version,
+    order, card size, member count and the sha256 of the lines below it."""
     digest = hashlib.sha256(body).hexdigest()
-    return f"#deckcensus-classes v1 n={n} k={k} members={members} sha256={digest}"
+    return f"#deckcensus-{kind} v1 n={n} k={k} members={members} sha256={digest}"
 
 
 # ---------------------------------------------------------------------------
 # report rendering
 
 
-def summary_line(report: ClassReport, violations: int | None = None) -> str:
-    """The one-line summary of a class report, with a violation count
+def summary_line(report: SharedClasses, violations: int | None = None) -> str:
+    """The one-line summary of a class partition, with a violation count
     when one is given."""
     merged = sum(len(members) - 1 for members in report.shared)
-    line = f"n={report.order} k={report.card_size} classes={len(report.lines) - merged}"
+    line = f"n={report.order} k={report.card_size} classes={report.members - merged}"
     if violations is not None:
         line += f" violations={violations}"
     return line + "\n"
 
 
-def emit_report(report: ClassReport, fmt: str = "summary") -> str:
-    """Render a class report deterministically.
+def emit_report(report: SharedClasses, fmt: str = "summary") -> str:
+    """Render a class partition deterministically.
 
     ``summary`` is a single line; ``tsv`` lists every member's
-    ``digest<TAB>key`` line under a header line.
+    ``digest<TAB>key`` line under a header line, so it needs a
+    ``ClassReport``.
     """
     if fmt == "summary":
         return summary_line(report)

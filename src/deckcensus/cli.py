@@ -141,10 +141,14 @@ def _run_phi(args, parser, out) -> None:
 
 
 def _run_census(args, parser, out) -> None:
-    """``classes``, and ``verify``, which checks an invariant on its classes."""
+    """``classes``, and ``verify``, which checks an invariant on its classes.
+    Only ``classes --format tsv`` prints member lines; every other form
+    reads the shared classes alone."""
     cache = census.CensusCache(args.cache_dir)
     family = census.enumerate_graphs(args.n, jobs=args.jobs, cache=cache)
-    report = census.deck_classes(family, args.k, jobs=args.jobs, cache=cache)
+    member_lines = args.command == "classes" and args.format == "tsv"
+    partition = census.deck_classes if member_lines else census.shared_classes
+    report = partition(family, args.k, jobs=args.jobs, cache=cache)
     if args.command == "classes":
         out.write(census.emit_report(report, args.format))
     elif args.format == "tsv":

@@ -16,6 +16,7 @@ from deckcensus.canon import canonical_key
 from deckcensus.census import (
     CensusCache,
     GraphFamily,
+    SharedClasses,
     count_violations,
     deck_classes,
     emit_report,
@@ -23,6 +24,7 @@ from deckcensus.census import (
     find_reconstructions,
     known_pairs,
     reconstructibility_number,
+    shared_classes,
     verify_invariant,
 )
 from deckcensus.cli import dispatch
@@ -311,7 +313,9 @@ def test_colliding_labels_are_never_stored(monkeypatch, tmp_path, family5):
     monkeypatch.setattr(census, "_class_label", lambda text: "0" * 32)
     cache = CensusCache(tmp_path)
     first = deck_classes(family5, 3, cache=cache)
+    assert shared_classes(family5, 3, cache=cache).shared == first.shared
     assert not (tmp_path / "classes_n5_k3.tsv").exists()
+    assert not (tmp_path / "shared_n5_k3.tsv").exists()
     assert partition(deck_classes(family5, 3, cache=cache)) == partition(first)
     assert partition(first) == expected
 
@@ -719,3 +723,141 @@ def test_emit_report_formats(family5):
     assert tsv == "digest\tkey\n" + "".join(line + "\n" for line in rep.lines)
     with pytest.raises(ValueError):
         emit_report(rep, "yaml")
+
+
+def _shared_of(report):
+    return SharedClasses(report.order, report.card_size, report.members,
+                         report.shared, report.labels)
+
+
+def test_shared_file_lists_the_shared_classes(tmp_path, family5, family6):
+    for n in range(1, 7):
+        family = {5: family5, 6: family6}.get(n) or enumerate_graphs(n)
+        cache = CensusCache(tmp_path / str(n))
+        for k in range(1, n + 1):
+            report = deck_classes(family, k)
+            assert report.members == len(report.lines) == len(family)
+            assert deck_classes(family, k, cache=cache) == report
+            path = tmp_path / str(n) / f"shared_n{n}_k{k}.tsv"
+            header, *lines = path.read_text().splitlines()
+            assert header.startswith(
+                f"#deckcensus-shared v1 n={n} k={k} members={len(family)} sha256=")
+            assert [line.split("\t")[1:] for line in lines] == list(
+                map(list, report.shared))
+            assert cache.load_shared(family, k) == _shared_of(report), (n, k)
+            assert shared_classes(family, k, cache=cache) == _shared_of(report)
+
+
+def _counted_tallies(monkeypatch):
+    """Patch ``_deck_tally`` wherever it is bound, and return the list of
+    its calls."""
+    calls = []
+    real = decks._deck_tally
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (census, decks):
+        monkeypatch.setattr(module, "_deck_tally", counted)
+    return calls
+
+
+def test_shared_file_is_built_from_a_class_file_without_cards(
+        monkeypatch, tmp_path, family6):
+    cache = CensusCache(tmp_path)
+    report = deck_classes(family6, 3, cache=cache)
+    path = tmp_path / "shared_n6_k3.tsv"
+    stored = path.read_bytes()
+    path.unlink()
+    calls = _counted_tallies(monkeypatch)
+    assert shared_classes(family6, 3, cache=cache) == report
+    assert calls == []
+    assert path.read_bytes() == stored
+    # with neither file the census walks its cards again
+    path.unlink()
+    (tmp_path / "classes_n6_k3.tsv").unlink()
+    assert shared_classes(family6, 3, cache=cache) == report
+    assert calls and path.read_bytes() == stored
+
+
+def test_warm_verify_reads_no_class_file(monkeypatch, tmp_path, family6):
+    CensusCache(tmp_path).store_family(family6)
+    commands = [["classes"]] + [
+        ["verify", "--invariant", invariant] for invariant in census.INVARIANTS
+    ]
+    argvs = [[*command, "-n", "6", "-k", str(k), "--format", fmt,
+              "--cache-dir", str(tmp_path)]
+             for k in (3, 4) for command in commands for fmt in ("summary", "tsv")
+             if (command[0], fmt) != ("classes", "tsv")]
+
+    def run(argv):
+        out = io.StringIO()
+        return dispatch(argv, out=out), out.getvalue()
+
+    cold = [run(argv) for argv in argvs]
+    loads = []
+    monkeypatch.setattr(CensusCache, "load_classes",
+                        lambda *args: loads.append(args))
+    calls = _counted_tallies(monkeypatch)
+    assert [run(argv) for argv in argvs] == cold
+    assert loads == calls == []
+
+
+# Damages of shared_n5_k3.tsv (n = 5, k = 3, 34 members, two lines of two
+# keys): a wrong header over the stored lines ...
+SHARED_HEADER_DAMAGES = {
+    "version": lambda header: header.replace(" v1 ", " v2 "),
+    "members": lambda header: header.replace("members=34", "members=33"),
+    "sha256": lambda header: header.replace("sha256=", "sha256=0"),
+    "class-header": lambda header: header.replace("-shared ", "-classes "),
+}
+
+
+def _line_with(line, key):
+    label, *keys = line.split("\t")
+    return "\t".join([label, *sorted({*keys, key})])
+
+
+# ... and wrong lines behind a header that matches them
+SHARED_LINE_DAMAGES = {
+    "one-key-line": lambda ls: [ls[0].rsplit("\t", 1)[0], *ls[1:]],
+    "keys-out-of-order": lambda ls: [
+        "\t".join([ls[0].split("\t")[0], *reversed(ls[0].split("\t")[1:])]),
+        *ls[1:]],
+    "swapped-lines": lambda ls: ls[::-1],
+    "repeated-line": lambda ls: [ls[0], *ls],
+    "key-on-two-lines": lambda ls: [ls[0], _line_with(ls[1], ls[0].split("\t")[1])],
+    "no-label": lambda ls: [line.split("\t", 1)[1] for line in ls],
+}
+
+
+def _damaged_shared(damage, header, lines):
+    """The text of shared_n5_k3.tsv after ``damage``."""
+    if damage in SHARED_HEADER_DAMAGES:
+        return SHARED_HEADER_DAMAGES[damage](header) + "\n" + "".join(
+            line + "\n" for line in lines)
+    body = "".join(line + "\n" for line in SHARED_LINE_DAMAGES[damage](lines))
+    return census._class_header(5, 3, 34, body.encode(), "shared") + "\n" + body
+
+
+@pytest.mark.parametrize("damage", [*SHARED_HEADER_DAMAGES, *SHARED_LINE_DAMAGES])
+def test_damaged_shared_file_is_rebuilt(monkeypatch, tmp_path, capsys, family5, damage):
+    cache = CensusCache(tmp_path)
+    report = deck_classes(family5, 3, cache=cache)
+    path = tmp_path / "shared_n5_k3.tsv"
+    stored = path.read_bytes()
+    header, *lines = stored.decode().splitlines()
+    assert len(lines) == 2 and all(line.count("\t") == 2 for line in lines)
+    path.write_text(_damaged_shared(damage, header, lines))
+    assert cache.load_shared(family5, 3) is None
+    assert str(path) in capsys.readouterr().err
+    # rebuilt from the class file, with one stderr line and no card walked
+    calls = _counted_tallies(monkeypatch)
+    assert shared_classes(family5, 3, cache=cache) == report
+    err = capsys.readouterr().err
+    assert str(path) in err and err.count("\n") == 1
+    assert calls == []
+    assert path.read_bytes() == stored
+    assert cache.load_shared(family5, 3) == _shared_of(report)
+    assert capsys.readouterr().err == ""

@@ -393,6 +393,10 @@ def _class_file(cache, n=5, k=3):
     return cache / f"classes_n{n}_k{k}.tsv"
 
 
+def _shared_file(cache, n=5, k=3):
+    return cache / f"shared_n{n}_k{k}.tsv"
+
+
 def _garbage(cache):
     _class_file(cache).write_text("not a class line\n")
     return _class_file(cache)
@@ -450,20 +454,45 @@ def _flipped_label_byte(cache):
     return path
 
 
-_CLASSES_N5 = ["classes", "-n", "5", "-k", "3"]
+def _without_shared(damage):
+    """``damage``, and the shared file beside the damaged class file
+    removed, so that a summary or ``verify`` must read the class file."""
+    def damaged(cache):
+        path = damage(cache)
+        path.with_name(path.name.replace("classes_", "shared_", 1)).unlink()
+        return path
+    return damaged
+
+
+def _shared_garbage(cache):
+    _shared_file(cache).write_text("not a shared line\n")
+    return _shared_file(cache)
+
+
+def _shared_under_another_k(cache):
+    assert run(["classes", "-n", "5", "-k", "3", "--cache-dir", str(cache)])[0] == 0
+    _shared_file(cache, k=4).write_bytes(_shared_file(cache).read_bytes())
+    return _shared_file(cache, k=4)
+
+
+# only the TSV form of ``classes`` reads the member lines of a class file
+_CLASSES_N5 = ["classes", "-n", "5", "-k", "3", "--format", "tsv"]
 _VERIFY_N5 = ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list"]
 
 # (command, damage): the damage takes a cache directory in which the
-# command has run, damages one class file there and returns its path.
+# command has run, damages one class or shared file there and returns its
+# path.
 CLASS_FILE_DAMAGES = {
     "garbage": (_CLASSES_N5, _garbage),
     "truncated": (_CLASSES_N5, _truncated),
-    "regrouped": (_VERIFY_N5, _regrouped),
+    "regrouped": (_VERIFY_N5, _without_shared(_regrouped)),
     "another-k": (["verify", "-n", "5", "-k", "4", "--invariant", "isomorphism"],
-                  _under_another_k),
+                  _without_shared(_under_another_k)),
     "another-order": (_CLASSES_N5, _of_another_order),
-    "headerless": (_VERIFY_N5, _headerless),
-    "flipped-label-byte": (_VERIFY_N5, _flipped_label_byte),
+    "headerless": (_VERIFY_N5, _without_shared(_headerless)),
+    "flipped-label-byte": (_VERIFY_N5, _without_shared(_flipped_label_byte)),
+    "shared-garbage": (_VERIFY_N5, _shared_garbage),
+    "shared-another-k": (["classes", "-n", "5", "-k", "4"], _shared_under_another_k),
 }
 
 
@@ -490,14 +519,15 @@ def test_warm_output_equals_cold_output(tmp_path, family6):
         ["verify", "--invariant", invariant] for invariant in census.INVARIANTS
     ]
     for k in range(1, 7):
-        path = tmp_path / f"classes_n6_k{k}.tsv"
+        paths = [_class_file(tmp_path, 6, k), _shared_file(tmp_path, 6, k)]
         for command in commands:
             for fmt in ("summary", "tsv"):
                 argv = [*command, "-n", "6", "-k", str(k), "--format", fmt,
                         "--cache-dir", str(tmp_path)]
-                path.unlink(missing_ok=True)
+                for path in paths:
+                    path.unlink(missing_ok=True)
                 cold = run(argv)
-                assert cold[0] == 0 and path.exists(), argv
+                assert cold[0] == 0 and all(map(Path.exists, paths)), argv
                 assert run(argv) == cold, argv
 
 
@@ -546,7 +576,8 @@ def test_n6_census_tsv_bytes_are_pinned(tmp_path, family6):
         for k, digest in enumerate(digests, 1):
             argv = [*command, "-n", "6", "-k", str(k), "--format", "tsv",
                     "--cache-dir", str(tmp_path)]
-            (tmp_path / f"classes_n6_k{k}.tsv").unlink(missing_ok=True)
+            _class_file(tmp_path, 6, k).unlink(missing_ok=True)
+            _shared_file(tmp_path, 6, k).unlink(missing_ok=True)
             for cache in ("cold", "warm"):
                 status, out = run(argv)
                 assert status == 0
