@@ -24,9 +24,9 @@ import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from math import comb
-from operator import contains, eq, lt
+from operator import contains, lt
 from pathlib import Path
 from typing import Sequence
 
@@ -145,8 +145,7 @@ class SharedClasses:
 class ClassReport(SharedClasses):
     """Deck-class partition of a family: its shared classes, and in
     ``lines`` one sorted ``digest<TAB>key`` line per member (so
-    ``members == len(lines)``), the body of the class file and of
-    ``classes --format tsv``."""
+    ``members == len(lines)``), the body of ``classes --format tsv``."""
 
     lines: tuple[str, ...]
 
@@ -278,9 +277,10 @@ def deck_classes(
     holds every member's ``digest<TAB>key`` line, sorted once here, and
     the members of each class of two or more members.  Cache files name
     classes by label only, so they are stored only when the labels are
-    pairwise distinct.  A cached class file is read instead when it is
-    exactly what this function would store; any other file there is
-    recomputed and overwritten (see ``CensusCache``).
+    pairwise distinct.  The cached shared and class files are read
+    instead when both are exactly what this function would store; any
+    other files there are recomputed and overwritten (see
+    ``CensusCache``).
     """
     _check_partition(family, k, jobs)
     if cache is not None:
@@ -301,27 +301,22 @@ def shared_classes(
 
     A cached shared file is read when it is exactly what
     ``CensusCache.store_shared`` would write, and no member line is
-    built.  Otherwise the partition comes from a class file that is
-    exactly what ``deck_classes`` would store, with no card walked, or
-    else from a fresh census, and the shared file is stored with it.
+    built.  Otherwise the partition comes from a fresh census, which
+    stores both cache files.
     """
     _check_partition(family, k, jobs)
     if cache is not None:
         cached = cache.load_shared(family, k)
         if cached is not None:
             return cached
-        report = cache.load_classes(family, k)
-        if report is not None:
-            cache.store_shared(report)
-            return report
     return _fresh_classes(family, k, jobs, cache)
 
 
 def _fresh_classes(
     family: GraphFamily, k: int, jobs: int, cache: "CensusCache | None"
 ) -> ClassReport:
-    """``deck_classes`` without the cached class file: walk every
-    member's cards, and store the result when its labels are distinct."""
+    """``deck_classes`` without the cache files: walk every member's
+    cards, and store the result when its labels are distinct."""
     rows = _map_chunks(_deck_chunk, family.members, jobs, k)
 
     by_text: dict[str, list[str]] = {}
@@ -397,8 +392,11 @@ def count_violations(report: SharedClasses, invariant: str) -> int:
     _, classes = _valued_classes(report, invariant)
     count = 0
     for valued in classes:
-        values = Counter(value for _, value in valued)
-        count += comb(len(valued), 2) - sum(comb(c, 2) for c in values.values())
+        values = [value for _, value in valued]
+        # a class that agrees on ``invariant`` has no pair to count
+        if values.count(values[0]) < len(values):
+            tally = Counter(values).values()
+            count += comb(len(values), 2) - sum(comb(c, 2) for c in tally)
     return count
 
 
@@ -545,40 +543,37 @@ class CensusCache:
     """Directory-backed cache of families and class partitions.
 
     ``graphs_n{n}.g6`` holds one canonical graph6 key per line, sorted.
-    ``classes_n{n}_k{k}.tsv`` starts with the header line
-    ``#deckcensus-classes v1 n=N k=K members=M sha256=H``, where H is
-    the sha256 of the rest of the file: ``digestHex<TAB>canonicalKey``
-    lines sorted by digest then key.  ``shared_n{n}_k{k}.tsv``, written
-    beside it, starts with ``#deckcensus-shared v1 n=N k=K members=M
-    sha256=H`` (M is still the family size), then one
+    Two files derived from a k-deck partition hold each member's label
+    once.  ``shared_n{n}_k{k}.tsv`` starts with the header
+    ``#deckcensus-shared v1 n=N k=K members=M sha256=H``, where M is the
+    family size and H the sha256 of the rest of the file: one
     ``digestHex<TAB>key<TAB>key...`` line per class of two or more
-    members, its keys sorted, the lines in label order.  Files are
-    written atomically (write-then-rename).
+    members, its keys sorted, the lines in label order.
+    ``classes_n{n}_k{k}.tsv`` starts with ``#deckcensus-classes v2 n=N
+    k=K members=M sha256=H`` and holds the sorted ``digestHex<TAB>key``
+    line of each class of one member.  Files are written atomically
+    (write-then-rename).
 
     The pins in ``FAMILY_SHA256`` are the trust root: a family file
     whose sha256 is not its pin raises ``ValueError`` naming the file
     and the remedy, delete it to recompute.  An order outside
-    [1, MAX_CENSUS_ORDER] raises ``ValueError`` naming it.  Class and
-    shared files are derived from the family, so one that is not
-    exactly what ``store_classes`` or ``store_shared`` writes for this
-    family and card size is reported on one stderr line and treated as
-    missing.  That means its header, a final newline, and then for a
-    class file one line per member with one tab each, and for a shared
-    file lines of a label and two or more keys, the keys of each line
-    and the lines strictly increasing, no key twice.  ``deck_classes`` recomputes and
-    overwrites a missing class file; ``shared_classes`` rebuilds a
-    missing shared file from a valid class file, walking no card, or
-    else from a fresh census.
+    [1, MAX_CENSUS_ORDER] raises ``ValueError`` naming it.  A derived
+    file is read only when it is exactly what ``store_classes`` and
+    ``store_shared`` write for this family and card size: that header, a
+    final newline, and then for a shared file lines of a label and two
+    or more keys, the keys of each line and the lines strictly
+    increasing, no key twice, and for a class file one line per
+    singleton class, each with one tab, each greater than the last.  Any
+    other file (a v1 class file too) gets one stderr line and is treated
+    as missing: the partition is recomputed from the cards, and both
+    files are overwritten.
 
+    ``verify`` and class summaries read only the shared file: at n = 8
+    it holds 888 classes (1937 keys) for k = 4, 4 for k = 5 and none for
+    k = 6 and 7.  Only ``classes --format tsv`` reads the class file.
     Every load of a family file hashes its bytes, but each order is
     decoded at most once per process: all loads that match the pin
-    return the same ``GraphFamily``, and so share its phi index.  The
-    memo is keyed by verified content, so it never goes stale.  A class
-    file is checked with whole-list operations, and a reload builds a
-    member tuple only for each run of two or more lines with one label.
-    ``verify`` and class summaries read only the shared file, so a warm
-    one splits no member line: at n = 8 that file holds 888 classes
-    (1937 keys) for k = 4, 4 for k = 5 and none for k = 6 and 7.
+    return the same ``GraphFamily``, and so share its phi index.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -587,11 +582,8 @@ class CensusCache:
     def _family_path(self, n: int) -> Path:
         return self.directory / f"graphs_n{n}.g6"
 
-    def _classes_path(self, n: int, k: int) -> Path:
-        return self.directory / f"classes_n{n}_k{k}.tsv"
-
-    def _shared_path(self, n: int, k: int) -> Path:
-        return self.directory / f"shared_n{n}_k{k}.tsv"
+    def _derived_path(self, kind: str, n: int, k: int) -> Path:
+        return self.directory / f"{kind}_n{n}_k{k}.tsv"
 
     def _write_atomic(self, path: Path, text: str) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -604,6 +596,30 @@ class CensusCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+    def _read_derived(self, kind: str, family: GraphFamily, k: int, parse):
+        """``parse`` of the lines of ``family``'s ``kind`` file for card size
+        ``k``, or None: silently if there is no file, else with one stderr
+        line when its header or final newline is not what
+        ``_write_derived`` writes or ``parse`` returns None."""
+        path = self._derived_path(kind, family.order, k)
+        if not path.exists():
+            return None
+        header, _, body = path.read_bytes().partition(b"\n")
+        lines = body.decode(errors="replace").split("\n")
+        expected = _class_header(family.order, k, len(family), body, kind).encode()
+        # the last split is empty when the body ends in a newline
+        parsed = parse(lines) if header == expected and not lines.pop() else None
+        if parsed is None:
+            print(f"{path}: not this census's {kind} file; recomputing it",
+                  file=sys.stderr)
+        return parsed
+
+    def _write_derived(self, kind: str, report: SharedClasses, lines) -> None:
+        body = "\n".join([*lines, ""])  # each line ends in a newline
+        n, k = report.order, report.card_size
+        header = _class_header(n, k, report.members, body.encode(), kind)
+        self._write_atomic(self._derived_path(kind, n, k), header + "\n" + body)
 
     def load_family(self, n: int) -> GraphFamily | None:
         _check_order(n)
@@ -628,98 +644,80 @@ class CensusCache:
         )
 
     def load_classes(self, family: GraphFamily, k: int) -> ClassReport | None:
-        path = self._classes_path(family.order, k)
-        if not path.exists():
+        """The partition from a valid shared file and class file: the
+        singleton classes' lines merged with the shared members' lines."""
+        shared = self.load_shared(family, k)
+        if shared is None:
             return None
-        header, _, body = path.read_bytes().partition(b"\n")
-        lines = body.decode(errors="replace").split("\n")
-        last = lines.pop()  # empty when the body ends in a newline
-        # exactly what ``store_classes`` writes: this header, then one line
-        # per member, each with one tab, each greater than the last
-        if not (
-            header == _class_header(family.order, k, len(family), body).encode()
-            and not last
-            and len(lines) == len(family)
-            and body.count(b"\t") == len(lines)
-            and all(map(contains, lines, repeat("\t")))
-            and all(map(lt, lines, islice(lines, 1, None)))
-        ):
-            print(f"{path}: not this census's class file; recomputing it",
-                  file=sys.stderr)
+        singletons = len(family) - sum(map(len, shared.shared))
+
+        def singleton_lines(lines: list[str]) -> list[str] | None:
+            # one line per singleton class, each with one tab, each
+            # greater than the last
+            ok = (len(lines) == singletons == sum(map(str.count, lines, repeat("\t")))
+                  and all(map(contains, lines, repeat("\t")))
+                  and all(map(lt, lines, islice(lines, 1, None))))
+            return lines if ok else None
+
+        lines = self._read_derived("classes", family, k, singleton_lines)
+        if lines is None:
             return None
-        fields = "\t".join(lines).split("\t")
-        labels, keys = fields[::2], fields[1::2]
-        runs: list[list[int]] = []  # [first, last] line of each shared class
-        # the lines whose label the next line repeats
-        for i in compress(range(len(lines)), map(eq, labels, islice(labels, 1, None))):
-            if runs and runs[-1][1] == i:
-                runs[-1][1] = i + 1
-            else:
-                runs.append([i, i + 1])
-        shared = tuple(tuple(keys[a : b + 1]) for a, b in runs)
-        return ClassReport(family.order, k, len(lines), shared,
-                           tuple(labels[a] for a, _ in runs), tuple(lines))
+        lines.extend(_shared_lines(shared))
+        lines.sort()  # a merge of two sorted runs
+        return ClassReport(family.order, k, shared.members, shared.shared,
+                           shared.labels, tuple(lines))
 
     def store_classes(self, report: ClassReport) -> None:
-        """Write the class file, and the shared file beside it."""
-        body = "\n".join(report.lines) + "\n"
-        header = _class_header(
-            report.order, report.card_size, report.members, body.encode()
-        )
-        self._write_atomic(
-            self._classes_path(report.order, report.card_size), header + "\n" + body
+        """Write the singleton classes' lines, then the shared file."""
+        shared = set(_shared_lines(report))
+        self._write_derived(
+            "classes", report, [line for line in report.lines if line not in shared]
         )
         self.store_shared(report)
 
     def load_shared(self, family: GraphFamily, k: int) -> SharedClasses | None:
-        path = self._shared_path(family.order, k)
-        if not path.exists():
-            return None
-        header, _, body = path.read_bytes().partition(b"\n")
-        lines = body.decode(errors="replace").split("\n")
-        last = lines.pop()  # empty when the body ends in a newline
-        rows = [line.split("\t") for line in lines]
-        shared = [row[1:] for row in rows]
-        keys = list(chain.from_iterable(shared))
-        # exactly what ``store_shared`` writes: this header, then one line
-        # per shared class, a label and two or more sorted keys, each line
-        # greater than the last, and no key twice (so each line's keys
-        # strictly increase)
-        expected = _class_header(family.order, k, len(family), body, "shared")
-        if not (
-            header == expected.encode()
-            and not last
-            and min(map(len, shared), default=2) > 1
-            and shared == list(map(sorted, shared))
-            and all(map(lt, lines, islice(lines, 1, None)))
-            and len(set(keys)) == len(keys) <= len(family)
-        ):
-            print(f"{path}: not this census's shared-class file; rebuilding it",
-                  file=sys.stderr)
-            return None
-        return SharedClasses(family.order, k, len(family), tuple(map(tuple, shared)),
-                             tuple(row[0] for row in rows))
+        def classes(lines: list[str]) -> SharedClasses | None:
+            rows = [line.split("\t") for line in lines]
+            shared = [row[1:] for row in rows]
+            keys = list(chain.from_iterable(shared))
+            # a label and two or more sorted keys a line, each line greater
+            # than the last, no key twice (so each line's keys increase)
+            ok = (min(map(len, shared), default=2) > 1
+                  and shared == list(map(sorted, shared))
+                  and all(map(lt, lines, islice(lines, 1, None)))
+                  and len(set(keys)) == len(keys) <= len(family))
+            if not ok:
+                return None
+            labels = tuple(row[0] for row in rows)
+            return SharedClasses(family.order, k, len(family),
+                                 tuple(map(tuple, shared)), labels)
+
+        return self._read_derived("shared", family, k, classes)
 
     def store_shared(self, report: SharedClasses) -> None:
-        body = "".join(
-            "\t".join([label, *members]) + "\n"
+        self._write_derived("shared", report, (
+            "\t".join([label, *members])
             for label, members in zip(report.labels, report.shared)
-        )
-        header = _class_header(
-            report.order, report.card_size, report.members, body.encode(), "shared"
-        )
-        self._write_atomic(
-            self._shared_path(report.order, report.card_size), header + "\n" + body
-        )
+        ))
 
 
-def _class_header(
-    n: int, k: int, members: int, body: bytes, kind: str = "classes"
-) -> str:
+def _shared_lines(report: SharedClasses):
+    """The ``digest<TAB>key`` line of each shared-class member."""
+    for label, members in zip(report.labels, report.shared):
+        for key in members:
+            yield f"{label}\t{key}"
+
+
+# Format version of each file derived from a family's k-deck partition.
+_DERIVED_VERSIONS = {"classes": "v2", "shared": "v1"}
+
+
+def _class_header(n: int, k: int, members: int, body: bytes, kind: str) -> str:
     """The first line of a class or shared file: its kind, format version,
     order, card size, member count and the sha256 of the lines below it."""
     digest = hashlib.sha256(body).hexdigest()
-    return f"#deckcensus-{kind} v1 n={n} k={k} members={members} sha256={digest}"
+    version = _DERIVED_VERSIONS[kind]
+    return f"#deckcensus-{kind} {version} n={n} k={k} members={members} sha256={digest}"
 
 
 # ---------------------------------------------------------------------------

@@ -622,7 +622,7 @@ def test_cache_roundtrip(tmp_path, family5):
     path = tmp_path / "classes_n5_k3.tsv"
     assert path.exists()
     header, *lines = path.read_text().splitlines()
-    assert header.startswith("#deckcensus-classes v1 n=5 k=3 members=34 sha256=")
+    assert header.startswith("#deckcensus-classes v2 n=5 k=3 members=34 sha256=")
     assert lines == sorted(lines)
     assert all(len(line.split("\t")) == 2 for line in lines)
     reloaded = deck_classes(fam, 3, cache=cache)
@@ -668,7 +668,7 @@ def test_class_count_keeps_colliding_classes_apart(monkeypatch, family6):
 # Damages of classes_n5_k3.tsv (n = 5, k = 3, 34 members): a wrong
 # header over the stored lines ...
 HEADER_DAMAGES = {
-    "version": lambda header: header.replace(" v1 ", " v0 "),
+    "version": lambda header: header.replace(" v2 ", " v3 "),
     "members": lambda header: header.replace("members=34", "members=33"),
     "sha256": lambda header: header.replace("sha256=", "sha256=0"),
     "extra-field": lambda header: header + " extra",
@@ -694,7 +694,7 @@ def _damaged(damage, header, lines):
         return HEADER_DAMAGES[damage](header) + "\n" + "".join(
             line + "\n" for line in lines)
     body = "".join(line + "\n" for line in LINE_DAMAGES[damage](lines))
-    return census._class_header(5, 3, 34, body.encode()) + "\n" + body
+    return census._class_header(5, 3, 34, body.encode(), "classes") + "\n" + body
 
 
 @pytest.mark.parametrize("damage", [*HEADER_DAMAGES, *LINE_DAMAGES])
@@ -746,6 +746,16 @@ def test_shared_file_lists_the_shared_classes(tmp_path, family5, family6):
                 map(list, report.shared))
             assert cache.load_shared(family, k) == _shared_of(report), (n, k)
             assert shared_classes(family, k, cache=cache) == _shared_of(report)
+            # the class file lists the singleton classes, so each member
+            # appears exactly once across the two files
+            singles = (path.parent / f"classes_n{n}_k{k}.tsv").read_text().splitlines()
+            header = singles.pop(0)
+            assert header.startswith(
+                f"#deckcensus-classes v2 n={n} k={k} members={len(family)} sha256=")
+            single_keys = [line.split("\t")[1] for line in singles]
+            assert len(set(line.split("\t")[0] for line in singles)) == len(singles)
+            assert sorted(single_keys + [key for keys in report.shared
+                                         for key in keys]) == list(family.members)
 
 
 def _counted_tallies(monkeypatch):
@@ -763,22 +773,20 @@ def _counted_tallies(monkeypatch):
     return calls
 
 
-def test_shared_file_is_built_from_a_class_file_without_cards(
-        monkeypatch, tmp_path, family6):
-    cache = CensusCache(tmp_path)
-    report = deck_classes(family6, 3, cache=cache)
-    path = tmp_path / "shared_n6_k3.tsv"
-    stored = path.read_bytes()
-    path.unlink()
+def test_missing_shared_file_is_recomputed(monkeypatch, tmp_path, family6):
+    fresh = tmp_path / "fresh"
+    report = deck_classes(family6, 3, cache=CensusCache(fresh))
+    cache = CensusCache(tmp_path / "cache")
+    deck_classes(family6, 3, cache=cache)
+    names = ["shared_n6_k3.tsv", "classes_n6_k3.tsv"]
+    # the class file no longer holds the shared members, so a missing
+    # shared file comes back, with the class file, from the cards
+    (tmp_path / "cache" / names[0]).unlink()
     calls = _counted_tallies(monkeypatch)
     assert shared_classes(family6, 3, cache=cache) == report
-    assert calls == []
-    assert path.read_bytes() == stored
-    # with neither file the census walks its cards again
-    path.unlink()
-    (tmp_path / "classes_n6_k3.tsv").unlink()
-    assert shared_classes(family6, 3, cache=cache) == report
-    assert calls and path.read_bytes() == stored
+    assert calls
+    for name in names:
+        assert (tmp_path / "cache" / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_warm_verify_reads_no_class_file(monkeypatch, tmp_path, family6):
@@ -843,21 +851,24 @@ def _damaged_shared(damage, header, lines):
 
 @pytest.mark.parametrize("damage", [*SHARED_HEADER_DAMAGES, *SHARED_LINE_DAMAGES])
 def test_damaged_shared_file_is_rebuilt(monkeypatch, tmp_path, capsys, family5, damage):
-    cache = CensusCache(tmp_path)
-    report = deck_classes(family5, 3, cache=cache)
-    path = tmp_path / "shared_n5_k3.tsv"
-    stored = path.read_bytes()
-    header, *lines = stored.decode().splitlines()
+    fresh = tmp_path / "fresh"
+    report = deck_classes(family5, 3, cache=CensusCache(fresh))
+    cache = CensusCache(tmp_path / "cache")
+    deck_classes(family5, 3, cache=cache)
+    path = tmp_path / "cache" / "shared_n5_k3.tsv"
+    header, *lines = path.read_text().splitlines()
     assert len(lines) == 2 and all(line.count("\t") == 2 for line in lines)
     path.write_text(_damaged_shared(damage, header, lines))
     assert cache.load_shared(family5, 3) is None
     assert str(path) in capsys.readouterr().err
-    # rebuilt from the class file, with one stderr line and no card walked
+    # recomputed from the cards, with one stderr line, and both files
+    # come back as a fresh cache stores them
     calls = _counted_tallies(monkeypatch)
     assert shared_classes(family5, 3, cache=cache) == report
     err = capsys.readouterr().err
     assert str(path) in err and err.count("\n") == 1
-    assert calls == []
-    assert path.read_bytes() == stored
+    assert calls
+    for name in (path.name, "classes_n5_k3.tsv"):
+        assert (tmp_path / "cache" / name).read_bytes() == (fresh / name).read_bytes()
     assert cache.load_shared(family5, 3) == _shared_of(report)
     assert capsys.readouterr().err == ""

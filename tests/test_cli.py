@@ -454,14 +454,14 @@ def _flipped_label_byte(cache):
     return path
 
 
-def _without_shared(damage):
-    """``damage``, and the shared file beside the damaged class file
-    removed, so that a summary or ``verify`` must read the class file."""
-    def damaged(cache):
-        path = damage(cache)
-        path.with_name(path.name.replace("classes_", "shared_", 1)).unlink()
-        return path
-    return damaged
+def _v1(cache):
+    # the format before the shared file: every member's line, v1 header
+    body = "".join(line + "\n" for line in census.deck_classes(
+        census.enumerate_graphs(5), 3).lines)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    _class_file(cache).write_text(
+        f"#deckcensus-classes v1 n=5 k=3 members=34 sha256={digest}\n{body}")
+    return _class_file(cache)
 
 
 def _shared_garbage(cache):
@@ -475,7 +475,7 @@ def _shared_under_another_k(cache):
     return _shared_file(cache, k=4)
 
 
-# only the TSV form of ``classes`` reads the member lines of a class file
+# only the TSV form of ``classes`` reads a class file
 _CLASSES_N5 = ["classes", "-n", "5", "-k", "3", "--format", "tsv"]
 _VERIFY_N5 = ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list"]
 
@@ -485,12 +485,13 @@ _VERIFY_N5 = ["verify", "-n", "5", "-k", "3", "--invariant", "degree_list"]
 CLASS_FILE_DAMAGES = {
     "garbage": (_CLASSES_N5, _garbage),
     "truncated": (_CLASSES_N5, _truncated),
-    "regrouped": (_VERIFY_N5, _without_shared(_regrouped)),
-    "another-k": (["verify", "-n", "5", "-k", "4", "--invariant", "isomorphism"],
-                  _without_shared(_under_another_k)),
+    "regrouped": (_CLASSES_N5, _regrouped),
+    "another-k": (["classes", "-n", "5", "-k", "4", "--format", "tsv"],
+                  _under_another_k),
     "another-order": (_CLASSES_N5, _of_another_order),
-    "headerless": (_VERIFY_N5, _without_shared(_headerless)),
-    "flipped-label-byte": (_VERIFY_N5, _without_shared(_flipped_label_byte)),
+    "headerless": (_CLASSES_N5, _headerless),
+    "flipped-label-byte": (_CLASSES_N5, _flipped_label_byte),
+    "v1": (_CLASSES_N5, _v1),
     "shared-garbage": (_VERIFY_N5, _shared_garbage),
     "shared-another-k": (["classes", "-n", "5", "-k", "4"], _shared_under_another_k),
 }
@@ -511,6 +512,24 @@ def test_damaged_class_file_is_recomputed(tmp_path, capsys, case):
     assert path.read_bytes() == (tmp_path / "fresh" / path.name).read_bytes()
     assert run(argv) == fresh
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in CLASS_FILE_DAMAGES if not case.startswith("shared-")])
+def test_verify_reads_no_damaged_class_file(tmp_path, capsys, case):
+    # beside a valid shared file, a damaged class file is never read
+    command, damage = CLASS_FILE_DAMAGES[case]
+    cache = tmp_path / "cache"
+    verify = ["verify", *command[1:5], "--invariant", "isomorphism",
+              "--cache-dir", str(cache)]
+    assert run([*command, "--cache-dir", str(cache)])[0] == 0
+    fresh = run(verify)
+    path = damage(cache)
+    damaged = path.read_bytes()
+    capsys.readouterr()
+    assert run(verify) == fresh
+    assert capsys.readouterr().err == ""
+    assert path.read_bytes() == damaged
 
 
 def test_warm_output_equals_cold_output(tmp_path, family6):
