@@ -24,9 +24,10 @@ import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, repeat
+from functools import cached_property
+from itertools import chain, combinations, islice
 from math import comb
-from operator import contains, lt
+from operator import lt
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +42,7 @@ from .decks import entry_text
 from .decks import edge_count_from_deck  # noqa: F401 (perfbench/tracing.py binds it)
 from .graphs import degree_list  # noqa: F401 (perfbench/tracing.py binds it)
 from .graphs import (
-    _REVERSED,
+    _COLUMNS,
     Graph,
     _g6_from_bits,
     _triangle_bits,
@@ -113,6 +114,11 @@ class GraphFamily:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def _member_set(self) -> frozenset[str]:
+        """The members, for the membership checks of cache files."""
+        return frozenset(self.members)
 
 
 @dataclass(frozen=True)
@@ -195,7 +201,7 @@ def _augmentations(parent_key: str) -> list[str]:
         rows.append(mask)
         key = canon._key_for_rows(m + 1, tuple(rows))
         # the child's own graph6: the parent's triangle, then column m
-        if key == _g6_from_bits(m + 1, high | _REVERSED[m][mask]):
+        if key == _g6_from_bits(m + 1, high | _COLUMNS[m][mask]):
             out.append(key)
     return out
 
@@ -561,9 +567,10 @@ class CensusCache:
     file is read only when it is exactly what ``store_classes`` and
     ``store_shared`` write for this family and card size: that header, a
     final newline, and then for a shared file lines of a label and two
-    or more keys, the keys of each line and the lines strictly
-    increasing, no key twice, and for a class file one line per
-    singleton class, each with one tab, each greater than the last.  Any
+    or more member keys, the keys of each line and the lines strictly
+    increasing, no key twice, and for a class file one ``label<TAB>key``
+    line per singleton class, each greater than the last, whose keys and
+    the shared ones are each member once.  Any
     other file (a v1 class file too) gets one stderr line and is treated
     as missing: the partition is recomputed from the cards, and both
     files are overwritten.
@@ -649,13 +656,14 @@ class CensusCache:
         shared = self.load_shared(family, k)
         if shared is None:
             return None
-        singletons = len(family) - sum(map(len, shared.shared))
 
         def singleton_lines(lines: list[str]) -> list[str] | None:
-            # one line per singleton class, each with one tab, each
-            # greater than the last
-            ok = (len(lines) == singletons == sum(map(str.count, lines, repeat("\t")))
-                  and all(map(contains, lines, repeat("\t")))
+            # lines each greater than the last, whose keys (after the first
+            # tab; a stray tab names no member) and the shared keys are each
+            # member once
+            keys = [*(line.partition("\t")[2] for line in lines),
+                    *chain.from_iterable(shared.shared)]
+            ok = (len(keys) == len(family) and set(keys) == family._member_set
                   and all(map(lt, lines, islice(lines, 1, None))))
             return lines if ok else None
 
@@ -681,11 +689,11 @@ class CensusCache:
             shared = [row[1:] for row in rows]
             keys = list(chain.from_iterable(shared))
             # a label and two or more sorted keys a line, each line greater
-            # than the last, no key twice (so each line's keys increase)
+            # than the last, each key a member once (so each line's keys increase)
             ok = (min(map(len, shared), default=2) > 1
                   and shared == list(map(sorted, shared))
                   and all(map(lt, lines, islice(lines, 1, None)))
-                  and len(set(keys)) == len(keys) <= len(family))
+                  and len(family._member_set.intersection(keys)) == len(keys))
             if not ok:
                 return None
             labels = tuple(row[0] for row in rows)

@@ -9,9 +9,9 @@ graph realizes.
 Cards come from one walk that adds a graph's vertices one at a time:
 vertex v turns each (j-1)-card S on range(v) into the j-card S + {v},
 whose labeled upper-triangle bits are S's bits followed by v's column
-against S, read from a gather table.  Those bits are the key of the
-canonical-key memo (``canon._memo``), which is probed inline.  On a
-miss, :func:`_card_key` decodes the card's rows from its bits, sorts
+against S, read from a ``graphs`` gather table.  Those bits are the key
+of the canonical-key memo (``canon._memo``), which is probed inline.
+On a miss, :func:`_card_key` decodes the card's rows like graph6, sorts
 the vertices by degree and neighbour degrees, and probes the memo again
 with that relabelling; only when both miss does it hand the rows to
 ``canon._key_for_rows``.  A graph's k-cards are its parent's (the graph
@@ -26,13 +26,12 @@ realization search, which meet the same graphs query after query.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .canon import _MEMO_MAX_N, _key_for_rows, _memo, canonical_key
-from .graphs import Graph, _rows_from_bits, degree_counts
+from .graphs import Graph, _gather_tables, _rows_from_bits, degree_counts
 from .graphs import from_graph6, is_connected
 
 
@@ -148,7 +147,7 @@ def _card_key(k: int, bits: int) -> str:
     """
     rows = _rows_from_bits(k, bits)
     if k > _MEMO_MAX_N:
-        return _key_for_rows(k, tuple(rows))
+        return _key_for_rows(k, rows)
     # a signature is the degree above 4 bits per degree d, which count
     # the degree-d neighbours (fewer than k <= _MEMO_MAX_N < 16)
     weight = [1 << 4 * row.bit_count() for row in rows]
@@ -168,30 +167,9 @@ def _card_key(k: int, bits: int) -> str:
             relabelled = relabelled << 1 | row >> u & 1
     key = _memo.get(relabelled)
     if key is None:
-        key = _memo[relabelled] = _key_for_rows(k, tuple(rows))
+        key = _memo[relabelled] = _key_for_rows(k, rows)
     _memo[bits] = key
     return key
-
-
-@lru_cache(maxsize=None)
-def _gather_tables(m: int, size: int) -> tuple[list[int], ...]:
-    """One table per size-subset S of range(m), in colex order (the order
-    of the walk's levels): ``table[row]`` is the bits of ``row`` on S,
-    first vertex of S most significant, that is the column of a vertex
-    with neighbourhood ``row`` against S.  The table doubles once per
-    vertex v: the entry of a row with highest set bit v is the entry of
-    that row less bit v, plus v's weight on S."""
-    subsets = sorted(combinations(range(m), size), key=lambda s: s[::-1])
-    tables = []
-    for subset in subsets:
-        weight = [0] * m
-        for i, v in enumerate(subset):
-            weight[v] = 1 << size - 1 - i
-        table = [0]
-        for w in weight:
-            table += [entry | w for entry in table]
-        tables.append(table)
-    return tuple(tables)
 
 
 def _extend(cards: list[int], size: int, v: int, row: int) -> list[int]:

@@ -8,16 +8,16 @@ The module also implements the graph6 interchange codec (single-byte
 size form only): byte 0 is ``63 + n``, and the upper triangle
 x(0,1), x(0,2), x(1,2), x(0,3), ... is packed column-wise into big-endian
 6-bit groups, each offset by 63, with the final group zero-padded.
-Decoding reads each data byte through a table for its order and
-position, built on the first decode of that order: the entry of a byte
-is the adjacency its six bits set, as n 16-bit rows packed in one int,
-so a graph's rows are the sum of its bytes' entries.
+Every bit table is a subset sum (``_subset_sums``).  Decoding graph6
+text, or a card's triangle bits, sums one table entry per 6-bit group:
+the adjacency the group sets, as n 16-bit rows packed in one int.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import cache, reduce
+from itertools import combinations
 from operator import getitem
 from typing import Iterable, Sequence
 
@@ -99,39 +99,37 @@ class Graph:
 # graph6 codec
 
 
-# _REVERSED[j][c] is the j-bit value c with its bit order reversed.
-_REVERSED = [
-    [int(format(c, f"0{j}b")[::-1], 2) if j else 0 for c in range(1 << j)]
-    for j in range(MAX_VERTICES)
-]
+def _subset_sums(weights: Sequence[int]) -> list[int]:
+    """Entry c is the OR of ``weights[i]`` over the set bits i of c."""
+    table = [0]
+    for w in weights:
+        table += [entry | w for entry in table]
+    return table
+
+
+@cache
+def _gather_tables(m: int, size: int) -> tuple[list[int], ...]:
+    """One table per size-subset S of range(m), in colex order (the order
+    of the card walk's levels in ``decks``): entry ``row`` is the column
+    of a vertex with neighbourhood ``row`` against S, the first vertex of
+    S most significant."""
+    subsets = sorted(combinations(range(m), size), key=lambda s: s[::-1])
+    return tuple(
+        _subset_sums([1 << size - 1 - s.index(v) if v in s else 0 for v in range(m)])
+        for s in subsets
+    )
+
+
+# _COLUMNS[j][row]: column j, x(0,j) first, of a vertex j adjacent to ``row``.
+_COLUMNS = tuple(_gather_tables(j, j)[0] for j in range(MAX_VERTICES))
 
 
 def _triangle_bits(rows: Sequence[int]) -> int:
     """Upper-triangle bits packed into one int, x(0,1) as the MSB."""
     val = 0
     for j in range(1, len(rows)):
-        val = val << j | _REVERSED[j][rows[j] & ((1 << j) - 1)]
+        val = val << j | _COLUMNS[j][rows[j] & ((1 << j) - 1)]
     return val
-
-
-def _rows_from_bits(n: int, bits: int) -> list[int]:
-    """Rows of the n-vertex graph whose upper-triangle bits, x(0,1) as
-    the MSB, are the low C(n, 2) bits of ``bits``; higher bits are
-    ignored.  Column j, the bits x(0,j)..x(j-1,j), reversed is row j's
-    low j bits; row j has no other bits yet when column j is read, and
-    each of those bits is then copied to its row's bit j."""
-    rows = [0] * n
-    pos = n * (n - 1) // 2
-    for j in range(1, n):
-        pos -= j
-        low = _REVERSED[j][bits >> pos & ((1 << j) - 1)]
-        rows[j] = low
-        bit = 1 << j
-        while low:
-            lsb = low & -low
-            rows[lsb.bit_length() - 1] |= bit
-            low ^= lsb
-    return rows
 
 
 def _g6_from_bits(n: int, bits: int) -> str:
@@ -162,14 +160,30 @@ def _group_tables(n: int) -> tuple[list[int], ...]:
         1 << 16 * i + j | 1 << 16 * j + i for j in range(1, n) for i in range(j)
     ]
     weights += [0] * (-len(weights) % 6)
-    tables = []
-    for first in range(0, len(weights), 6):
-        entries = [0]
-        # the group's last bit is its least significant
-        for w in reversed(weights[first:first + 6]):
-            entries += [entry | w for entry in entries]
-        tables.append([0] * 63 + entries)
-    return tuple(tables)
+    # the group's last bit is its least significant
+    return tuple(
+        [0] * 63 + _subset_sums(weights[first:first + 6][::-1])
+        for first in range(0, len(weights), 6)
+    )
+
+
+def _unpack_rows(n: int, packed: int) -> tuple[int, ...]:
+    """The rows in a sum of ``_group_tables`` entries, row i at bit 16i."""
+    return tuple(memoryview(packed.to_bytes(2 * n, sys.byteorder)).cast("H"))
+
+
+def _rows_from_bits(n: int, bits: int) -> tuple[int, ...]:
+    """Rows of the n-vertex graph whose upper-triangle bits, x(0,1) as
+    the MSB, are the low C(n, 2) bits of ``bits``; higher bits are
+    ignored.  The bits are padded to whole 6-bit groups, as graph6 pads
+    them, and each group, last first, is read through its decode table."""
+    tables = _group_tables(n)
+    bits <<= 6 * len(tables) - n * (n - 1) // 2
+    packed = 0
+    for table in reversed(tables):
+        packed += table[63 + (bits & 63)]
+        bits >>= 6
+    return _unpack_rows(n, packed)
 
 
 def from_graph6(text: str) -> Graph:
@@ -213,8 +227,7 @@ def from_graph6(text: str) -> Graph:
     # diagonal by construction, so they skip from_rows's checks
     g = Graph.__new__(Graph)
     object.__setattr__(g, "n", size)
-    rows = memoryview(packed.to_bytes(2 * size, sys.byteorder)).cast("H")
-    object.__setattr__(g, "rows", tuple(rows))
+    object.__setattr__(g, "rows", _unpack_rows(size, packed))
     return g
 
 

@@ -685,6 +685,8 @@ LINE_DAMAGES = {
     "repeated-line": lambda ls: ls[:4] + [ls[3]] + ls[5:],
     "one-line-short": lambda ls: ls[:-1],
     "one-line-long": lambda ls: ls + ["ffffffffffffffffffffffffffffffff\tD~{"],
+    # the first singleton line names a member of a shared class instead
+    "shared-member-key": lambda ls: [ls[0].split("\t")[0] + "\t" + C4K1_KEY, *ls[1:]],
 }
 
 
@@ -837,6 +839,11 @@ SHARED_LINE_DAMAGES = {
     "repeated-line": lambda ls: [ls[0], *ls],
     "key-on-two-lines": lambda ls: [ls[0], _line_with(ls[1], ls[0].split("\t")[1])],
     "no-label": lambda ls: [line.split("\t", 1)[1] for line in ls],
+    # a key replaced by one that is not a member: C4 + K1 in its named,
+    # non-canonical labelling
+    "non-member-key": lambda ls: [
+        _line_with(ls[0].rsplit("\t", 1)[0], to_graph6(named_graph("cycle4+empty1"))),
+        *ls[1:]],
 }
 
 

@@ -23,7 +23,6 @@ from deckcensus.decks import (
     _cards_of_key,
     _deck_tally,
     _degree_counts_of_key,
-    _gather_tables,
     _graph_of_key,
     _key_is_connected,
     _triangles_of_key,
@@ -39,6 +38,7 @@ from deckcensus.decks import (
 from deckcensus.graphs import (
     Graph,
     _g6_from_bits,
+    _gather_tables,
     _rows_from_bits,
     _triangle_bits,
     claw_subdivided,

@@ -2,6 +2,7 @@
 
 import random
 import re
+from math import comb
 
 import networkx as nx
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, strategies as st
 from deckcensus.graphs import (
     Graph,
     Graph6Error,
+    _rows_from_bits,
+    _triangle_bits,
     complete_graph,
     empty_graph,
     from_graph6,
@@ -80,17 +83,22 @@ def test_decode_errors_name_offsets(text, offset_word):
     assert offset_word in str(err.value)
 
 
+def text_of_bits(n: int, triangle: int) -> str:
+    """The graph6 text of the n-vertex graph whose C(n, 2) upper-triangle
+    bits, x(0,1) as the MSB, are ``triangle``, packed by hand."""
+    nbits = comb(n, 2)
+    pad = -nbits % 6
+    bits = triangle << pad
+    return chr(63 + n) + "".join(
+        chr(63 + (bits >> shift & 63)) for shift in range(nbits + pad - 6, -1, -6)
+    )
+
+
 def test_decoder_matches_bitwise_reference_on_every_small_graph():
     # every bit pattern of the upper triangle for n <= 5, padding zero
     for n in range(1, 6):
-        nbits = n * (n - 1) // 2
-        pad = -nbits % 6
-        for mask in range(1 << nbits):
-            bits = mask << pad
-            text = chr(63 + n) + "".join(
-                chr(63 + (bits >> shift & 63))
-                for shift in range(nbits + pad - 6, -1, -6)
-            )
+        for mask in range(1 << comb(n, 2)):
+            text = text_of_bits(n, mask)
             g = from_graph6(text)
             assert g == graph6_bitwise(text), text
             assert type(g.rows) is tuple and all(type(r) is int for r in g.rows)
@@ -103,6 +111,23 @@ def test_decoder_matches_bitwise_reference_on_random_graphs():
             g = random_graph(rng, n)
             text = to_graph6(g)
             assert from_graph6(text) == graph6_bitwise(text) == g, text
+
+
+def test_rows_from_bits_match_bitwise_reference():
+    # every triangle for n <= 5 under the leading bit of a card's memo
+    # key, then seeded ints for n = 6..10 with junk above bit C(n, 2):
+    # only the low C(n, 2) bits are read
+    rng = random.Random(2025)
+    cases = [(n, 1 << comb(n, 2) | tri) for n in range(1, 6)
+             for tri in range(1 << comb(n, 2))]
+    cases += [(n, (rng.getrandbits(20) | 1) << comb(n, 2) | rng.getrandbits(comb(n, 2)))
+              for n in range(6, 11) for _ in range(300)]
+    for n, bits in cases:
+        rows = _rows_from_bits(n, bits)
+        triangle = bits & ((1 << comb(n, 2)) - 1)
+        assert rows == graph6_bitwise(text_of_bits(n, triangle)).rows, (n, bits)
+        assert _triangle_bits(rows) == triangle, (n, bits)
+        assert _rows_from_bits(n, _triangle_bits(rows)) == rows, (n, bits)
 
 
 def test_decoder_errors_name_every_data_offset_at_n10():
