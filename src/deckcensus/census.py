@@ -111,6 +111,12 @@ class GraphFamily:
     _by_phi: dict[int, dict[tuple[int, ...], list[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # (card size, shared-file header) -> the classes ``load_shared`` read
+    # and validated under that header; the header holds the sha256 of the
+    # file's body, so a changed file never hits it
+    _shared_reads: dict[tuple[int, bytes], SharedClasses] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -364,27 +370,35 @@ INVARIANTS = {
 }
 
 
-def _valued_classes(report: SharedClasses, invariant: str):
-    """``invariant``'s witness, and each shared class as (key, value) pairs."""
+def _disagreeing_classes(report: SharedClasses, invariant: str):
+    """``invariant``'s witness, and the (members, values) of each shared
+    class whose members do not all take one value of it; every member
+    of a shared class is valued once."""
     if invariant not in INVARIANTS:
         choices = tuple(INVARIANTS)
         raise ValueError(f"unknown invariant {invariant!r}; choose from {choices}")
     value, witness = INVARIANTS[invariant]
-    return witness, ([(k, value(k)) for k in members] for members in report.shared)
+    classes = []
+    for members in report.shared:
+        values = list(map(value, members))
+        if values.count(values[0]) < len(values):
+            classes.append((members, values))
+    return witness, classes
 
 
 def verify_invariant(report: SharedClasses, invariant: str) -> tuple[Violation, ...]:
     """Every in-class pair that disagrees on ``invariant`` (see ``INVARIANTS``), sorted.
 
-    Only the shared classes are read (a singleton has no pair), and each
-    of their members is decoded once.
+    Only the shared classes are read (a singleton has no pair), and only
+    those whose members disagree are searched for pairs.
     """
-    witness, classes = _valued_classes(report, invariant)
-    violations: list[Violation] = []
-    for valued in classes:
-        for (key_a, value_a), (key_b, value_b) in combinations(valued, 2):
-            if value_a != value_b:
-                violations.append(Violation(key_a, key_b, witness(value_a, value_b)))
+    witness, classes = _disagreeing_classes(report, invariant)
+    violations = [
+        Violation(key_a, key_b, witness(value_a, value_b))
+        for members, values in classes
+        for (key_a, value_a), (key_b, value_b) in combinations(zip(members, values), 2)
+        if value_a != value_b
+    ]
     violations.sort(key=lambda v: (v.key_a, v.key_b))
     return tuple(violations)
 
@@ -395,15 +409,11 @@ def count_violations(report: SharedClasses, invariant: str) -> int:
     name in ``INVARIANTS``) takes each value v c_v times has C(m, 2) -
     sum_v C(c_v, 2) disagreeing pairs.  Linear in the shared members, so
     it also serves classes too large to list."""
-    _, classes = _valued_classes(report, invariant)
-    count = 0
-    for valued in classes:
-        values = [value for _, value in valued]
-        # a class that agrees on ``invariant`` has no pair to count
-        if values.count(values[0]) < len(values):
-            tally = Counter(values).values()
-            count += comb(len(values), 2) - sum(comb(c, 2) for c in tally)
-    return count
+    _, classes = _disagreeing_classes(report, invariant)
+    return sum(
+        comb(len(values), 2) - sum(comb(c, 2) for c in Counter(values).values())
+        for _, values in classes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +591,14 @@ class CensusCache:
     Every load of a family file hashes its bytes, but each order is
     decoded at most once per process: all loads that match the pin
     return the same ``GraphFamily``, and so share its phi index.
+    Likewise every load of a shared file reads and hashes it, but a
+    family parses and validates a given shared file once: it keeps what
+    it read under the file's header, which holds the sha256 of the
+    body, so a file changed by any byte is parsed and checked again.
+    A rejected file is never kept, and the class file, whose validity
+    depends on the shared file, is parsed on every load.  A one-shot
+    command reads each file once anyway; repeated commands in one
+    process skip the repeated parse.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -604,22 +622,33 @@ class CensusCache:
                 os.unlink(tmp)
             raise
 
-    def _read_derived(self, kind: str, family: GraphFamily, k: int, parse):
+    def _read_derived(self, kind: str, family: GraphFamily, k: int, parse,
+                      memo: dict):
         """``parse`` of the lines of ``family``'s ``kind`` file for card size
         ``k``, or None: silently if there is no file, else with one stderr
         line when its header or final newline is not what
-        ``_write_derived`` writes or ``parse`` returns None."""
+        ``_write_derived`` writes or ``parse`` returns None.
+
+        The file is read and hashed on every call.  A parsed result is
+        kept in ``memo`` under (k, header), and a file whose header is
+        right for its body and found there is not parsed again: the
+        header holds the body's sha256, so that file is byte for byte one
+        that ``parse`` accepted."""
         path = self._derived_path(kind, family.order, k)
         if not path.exists():
             return None
         header, _, body = path.read_bytes().partition(b"\n")
-        lines = body.decode(errors="replace").split("\n")
         expected = _class_header(family.order, k, len(family), body, kind).encode()
+        if header == expected and (k, header) in memo:
+            return memo[k, header]
+        lines = body.decode(errors="replace").split("\n")
         # the last split is empty when the body ends in a newline
         parsed = parse(lines) if header == expected and not lines.pop() else None
         if parsed is None:
             print(f"{path}: not this census's {kind} file; recomputing it",
                   file=sys.stderr)
+        else:
+            memo[k, header] = parsed
         return parsed
 
     def _write_derived(self, kind: str, report: SharedClasses, lines) -> None:
@@ -667,7 +696,8 @@ class CensusCache:
                   and all(map(lt, lines, islice(lines, 1, None))))
             return lines if ok else None
 
-        lines = self._read_derived("classes", family, k, singleton_lines)
+        # a fresh memo: whether a class file is valid depends on the shared file
+        lines = self._read_derived("classes", family, k, singleton_lines, {})
         if lines is None:
             return None
         lines.extend(_shared_lines(shared))
@@ -700,7 +730,7 @@ class CensusCache:
             return SharedClasses(family.order, k, len(family),
                                  tuple(map(tuple, shared)), labels)
 
-        return self._read_derived("shared", family, k, classes)
+        return self._read_derived("shared", family, k, classes, family._shared_reads)
 
     def store_shared(self, report: SharedClasses) -> None:
         self._write_derived("shared", report, (

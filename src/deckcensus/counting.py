@@ -77,7 +77,10 @@ def reconstruct_degree_list(
 
     Raises :class:`InconsistentCountsError` when any solved count comes
     out negative or fractional, or the final vector is not a degree
-    count vector of an n-vertex graph.
+    count vector of an n-vertex graph: its counts do not sum to n, or
+    the degree list they give fails the Erdős–Gallai test.  No graph
+    with those high counts then realizes the deck, since any such graph
+    would be the unique solution.
     """
     k, n = deck.card_size, deck.origin_order
     missing = [i for i in range(k, n) if i not in high_counts]
@@ -102,12 +105,39 @@ def reconstruct_degree_list(
                 f"degree-{j} vertices gives {remainder}/{coeff}"
             )
         counts[j] = remainder // coeff
-    if sum(counts) != n or sum(i * c for i, c in enumerate(counts)) % 2:
+    if sum(counts) != n:
         raise InconsistentCountsError(
             f"inconsistent high-degree counts: solved vector {tuple(counts)} "
             f"is not a degree count vector on {n} vertices"
         )
+    degrees = counts_to_degree_list(counts)
+    if not _is_graphical(degrees):  # this also checks the parity of the sum
+        raise InconsistentCountsError(
+            "no graph realizes this deck with these high-degree counts: "
+            f"the solved degree list ({','.join(map(str, degrees))}) is not "
+            "graphical (Erdos-Gallai)"
+        )
     return tuple(counts)
+
+
+def _is_graphical(degrees: Sequence[int]) -> bool:
+    """Whether a nonincreasing list of degrees is some graph's (Erdős and
+    Gallai, 1960): its sum is even, and for every r the r largest
+    degrees sum to at most r(r-1) + sum_{i>r} min(d_i, r).
+
+    Once d_r < r, every later d_i is below i as well, and step i adds
+    2(i - 1 - d_i) >= 0 to the slack of the inequality, so the check
+    stops at the first such r."""
+    if sum(degrees) % 2:
+        return False
+    head = 0
+    for r, d in enumerate(degrees, 1):
+        if d < r:
+            return True
+        head += d
+        if head > r * (r - 1) + sum(min(rest, r) for rest in degrees[r:]):
+            return False
+    return True
 
 
 def counts_to_degree_list(counts: Sequence[int]) -> tuple[int, ...]:

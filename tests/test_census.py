@@ -7,6 +7,9 @@ import io
 import json
 import random
 import re
+from collections import Counter
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,7 @@ from deckcensus.graphs import (
 from .helpers import (
     KNOWN_GRAPH_COUNTS,
     brute_force_family,
+    complement,
     induced_deck,
     partition,
     permuted,
@@ -375,6 +379,54 @@ def test_isomorphism_invariant_counts_shared_decks(family5):
     assert _pair(C4K1_KEY, KP_KEY) in {(v.key_a, v.key_b) for v in violations}
 
 
+def _families_up_to_7(family5, family6, family7):
+    return [{5: family5, 6: family6, 7: family7}.get(n) or enumerate_graphs(n)
+            for n in range(1, 8)]
+
+
+def test_violation_scan_equals_the_pairwise_definition(family5, family6, family7):
+    for family in _families_up_to_7(family5, family6, family7):
+        n = family.order
+        for k in range(2, n):
+            report = shared_classes(family, k)
+            for invariant, (value, witness) in census.INVARIANTS.items():
+                pairs = sorted(
+                    (a, b, witness(value(a), value(b)))
+                    for members in report.shared
+                    for a, b in combinations(members, 2)
+                    if value(a) != value(b)
+                )
+                found = verify_invariant(report, invariant)
+                assert [(v.key_a, v.key_b, v.witness) for v in found] == pairs, (
+                    n, k, invariant)
+                assert count_violations(report, invariant) == len(pairs)
+
+
+def test_complement_maps_the_deck_partition_onto_itself(family5, family6, family7):
+    # The k-cards of a complement are the complements of the k-cards, so
+    # complementing maps each deck class onto a deck class and e edges
+    # onto C(n, 2) - e.  Checked without reading any class label.
+    for family in _families_up_to_7(family5, family6, family7):
+        n = family.order
+        edges = {key: sum(map(int.bit_count, from_graph6(key).rows)) // 2
+                 for key in family.members}
+        flip = {key: canonical_key(complement(from_graph6(key)))
+                for key in family.members}
+        for k in range(1, n + 1):
+            report = deck_classes(family, k)
+            sizes = Counter(
+                (e, size)
+                for members in partition(report)
+                for e, size in Counter(edges[key] for key in members).items()
+            )
+            assert sizes == Counter(
+                {(comb(n, 2) - e, size): c for (e, size), c in sizes.items()}
+            ), (n, k)
+            shared = set(report.shared)
+            assert {tuple(sorted(map(flip.get, members))) for members in shared} == (
+                shared), (n, k)
+
+
 def test_find_reconstructions_exhaustive(family6):
     deck = compute_deck(named_graph("cycle5+empty1"), 3)
     keys = find_reconstructions(deck, family6)
@@ -695,8 +747,7 @@ def _damaged(damage, header, lines):
     if damage in HEADER_DAMAGES:
         return HEADER_DAMAGES[damage](header) + "\n" + "".join(
             line + "\n" for line in lines)
-    body = "".join(line + "\n" for line in LINE_DAMAGES[damage](lines))
-    return census._class_header(5, 3, 34, body.encode(), "classes") + "\n" + body
+    return _rehashed("classes", 5, 3, 34, LINE_DAMAGES[damage](lines))
 
 
 @pytest.mark.parametrize("damage", [*HEADER_DAMAGES, *LINE_DAMAGES])
@@ -847,13 +898,18 @@ SHARED_LINE_DAMAGES = {
 }
 
 
+def _rehashed(kind, n, k, members, lines):
+    """A ``kind`` file of ``lines`` under the header that matches them."""
+    body = "".join(line + "\n" for line in lines)
+    return census._class_header(n, k, members, body.encode(), kind) + "\n" + body
+
+
 def _damaged_shared(damage, header, lines):
     """The text of shared_n5_k3.tsv after ``damage``."""
     if damage in SHARED_HEADER_DAMAGES:
         return SHARED_HEADER_DAMAGES[damage](header) + "\n" + "".join(
             line + "\n" for line in lines)
-    body = "".join(line + "\n" for line in SHARED_LINE_DAMAGES[damage](lines))
-    return census._class_header(5, 3, 34, body.encode(), "shared") + "\n" + body
+    return _rehashed("shared", 5, 3, 34, SHARED_LINE_DAMAGES[damage](lines))
 
 
 @pytest.mark.parametrize("damage", [*SHARED_HEADER_DAMAGES, *SHARED_LINE_DAMAGES])
@@ -878,4 +934,45 @@ def test_damaged_shared_file_is_rebuilt(monkeypatch, tmp_path, capsys, family5, 
     for name in (path.name, "classes_n5_k3.tsv"):
         assert (tmp_path / "cache" / name).read_bytes() == (fresh / name).read_bytes()
     assert cache.load_shared(family5, 3) == _shared_of(report)
+    assert capsys.readouterr().err == ""
+
+
+def test_shared_reads_are_memoized_only_for_unchanged_files(tmp_path, capsys, family6):
+    # fresh family objects, so that no other test has filled their memos
+    family = GraphFamily(6, family6.members)
+    cache = CensusCache(tmp_path)
+    report = _shared_of(deck_classes(family, 3, cache=cache))
+    path = tmp_path / "shared_n6_k3.tsv"
+    stored = path.read_bytes()
+    first = cache.load_shared(family, 3)
+    assert first == report
+    assert cache.load_shared(family, 3) is first
+    header, *lines = stored.decode().splitlines()
+    # a key replaced by a non-member behind a header that matches it, the
+    # stored header over a class less, and the stored body under a wrong
+    # header
+    non_member = to_graph6(named_graph("cycle5+empty1"))
+    assert non_member not in family.members
+    damaged = [_line_with(lines[0].rsplit("\t", 1)[0], non_member), *lines[1:]]
+    for text in (
+        _rehashed("shared", 6, 3, 156, damaged),
+        "".join(line + "\n" for line in [header, *lines[:-1]]),
+        header.replace("members=156", "members=155") + stored.decode()[len(header):],
+    ):
+        path.write_text(text)
+        assert cache.load_shared(family, 3) is None
+        err = capsys.readouterr().err
+        assert str(path) in err and err.count("\n") == 1
+    # a valid file with a class less is read as it is
+    path.write_text(_rehashed("shared", 6, 3, 156, lines[:-1]))
+    fewer = cache.load_shared(family, 3)
+    assert fewer.shared == report.shared[:-1]
+    # the stored file is served again, and another family object with the
+    # same members parses it for itself
+    path.write_bytes(stored)
+    assert cache.load_shared(family, 3) is first
+    other = GraphFamily(6, family6.members)
+    again = cache.load_shared(other, 3)
+    assert again == first and again is not first
+    assert cache.load_shared(other, 3) is again
     assert capsys.readouterr().err == ""

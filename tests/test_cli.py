@@ -209,6 +209,16 @@ def test_degrees_inconsistent_is_domain_error(capsys):
     assert "--high degree 3 given twice" in capsys.readouterr().err
 
 
+def test_degrees_refuses_a_deck_no_graph_realizes(tmp_path, capsys):
+    # the deck parses, but with no vertex of degree 3 or 4 it solves to
+    # degree list (2,0,0,0,0), which no graph has
+    deck_file = tmp_path / "deck.tsv"
+    deck_file.write_text("k=3 n=5\nB?\t8\nBG\t1\nBW\t1\n")
+    status, text = run(["degrees", "--deck", str(deck_file), "--high", "3=0,4=0"])
+    assert (status, text) == (1, "")
+    assert "no graph realizes this deck" in capsys.readouterr().err
+
+
 def test_degrees_needs_every_high_count(capsys):
     # E??w has degree counts (2,3,0,1,0,0); reading an omitted count as 0
     # would print the wrong list (2,2,2,0,0,0)

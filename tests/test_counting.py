@@ -2,11 +2,13 @@
 
 import math
 import random
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from deckcensus.counting import (
     InconsistentCountsError,
+    _is_graphical,
     counts_to_degree_list,
     deck_difference,
     degree_list_threshold,
@@ -14,11 +16,12 @@ from deckcensus.counting import (
     phi_formula,
     reconstruct_degree_list,
 )
-from deckcensus.decks import compute_deck, phi_vector
+from deckcensus.decks import Deck, compute_deck, phi_vector
 from deckcensus.graphs import (
     claw_subdivided,
     complete_graph,
     degree_counts,
+    from_graph6,
     named_graph,
     path_graph,
 )
@@ -106,6 +109,49 @@ def test_reconstruct_with_zero_high_counts():
     # K4's 3-deck forces negative low counts once the high ones are zeroed
     with pytest.raises(InconsistentCountsError):
         reconstruct_degree_list(compute_deck(complete_graph(4), 3), {3: 0})
+
+
+def test_graphical_test_accepts_exactly_the_degree_lists_of_graphs(family5, family6):
+    # every count vector on n vertices, against the degree counts of the
+    # family members, the only graphs there are
+    for family in (family5, family6):
+        n = family.order
+        realized = {degree_counts(from_graph6(key)) for key in family.members}
+        for counts in product(range(n + 1), repeat=n):
+            if sum(counts) == n:
+                assert _is_graphical(counts_to_degree_list(counts)) == (
+                    counts in realized), counts
+
+
+# A deck on n = 5 vertices, k = 3, that parses (canonical keys, C(5, 3)
+# cards) but that no graph realizes; with no vertex of degree 3 or 4 it
+# solves to degree list (2,0,0,0,0).
+UNREALIZED_DECK = Deck(3, 5, {"B?": 8, "BG": 1, "BW": 1})
+
+
+def test_non_graphical_solution_is_refused():
+    with pytest.raises(InconsistentCountsError,
+                       match=r"no graph realizes this deck .*\(2,0,0,0,0\)"):
+        reconstruct_degree_list(UNREALIZED_DECK, {3: 0, 4: 0})
+
+
+def test_every_degree_answer_at_n5_k3_belongs_to_a_graph(family5):
+    # every deck that parses at n = 5, k = 3 (ten cards from the four
+    # 3-vertex graphs), under every high-count vector of sum at most 5
+    realized = {degree_counts(from_graph6(key)) for key in family5.members}
+    answered = 0
+    for cards in combinations_with_replacement(("B?", "BG", "BW", "Bw"), 10):
+        deck = Deck(3, 5, {key: cards.count(key) for key in set(cards)})
+        for a3, a4 in product(range(6), repeat=2):
+            if a3 + a4 <= 5:
+                try:
+                    counts = reconstruct_degree_list(deck, {3: a3, 4: a4})
+                except InconsistentCountsError:
+                    continue
+                assert counts in realized, (cards, a3, a4)
+                answered += 1
+    # each graph's own deck is answered under its own high counts
+    assert answered >= len(family5.members)
 
 
 def test_deck_difference_goldens():
