@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -94,6 +95,9 @@ def _class_label(text: str) -> str:
     return f"{_fnv128(text.encode()):032x}"
 
 
+_IS_LABEL = re.compile("[0-9a-f]{32}").fullmatch  # what _class_label writes
+
+
 @dataclass(frozen=True)
 class GraphFamily:
     """All n-vertex graphs up to isomorphism, one canonical key each,
@@ -155,11 +159,14 @@ class SharedClasses:
 
 @dataclass(frozen=True)
 class ClassReport(SharedClasses):
-    """Deck-class partition of a family: its shared classes, and in
-    ``lines`` one sorted ``digest<TAB>key`` line per member (so
-    ``members == len(lines)``), the body of ``classes --format tsv``."""
+    """Deck-class partition of a family, as its two cache files hold it:
+    its shared classes, and in ``singletons`` the sorted
+    ``digest<TAB>key`` line of each class of one member, the class
+    file's body (so ``members == len(singletons) + sum(map(len,
+    shared))``).  ``emit_report`` merges the two into the body of
+    ``classes --format tsv``."""
 
-    lines: tuple[str, ...]
+    singletons: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +293,9 @@ def deck_classes(
     labeled with the FNV-1a digest of that text, which only names it in
     class TSVs and cache files: a (vanishingly unlikely) collision yields
     two classes that share a label, never a merged class.  The report
-    holds every member's ``digest<TAB>key`` line, sorted once here, and
-    the members of each class of two or more members.  Cache files name
+    holds the members of each class of two or more members and the
+    ``digest<TAB>key`` line of each class of one, what the shared and
+    class files hold (see ``ClassReport``).  Cache files name
     classes by label only, so they are stored only when the labels are
     pairwise distinct.  The cached shared and class files are read
     instead when both are exactly what this function would store; any
@@ -312,7 +320,7 @@ def shared_classes(
     partition, all that ``verify`` and a class summary read.
 
     A cached shared file is read when it is exactly what
-    ``CensusCache.store_shared`` would write, and no member line is
+    ``CensusCache.store_classes`` would write, and no member line is
     built.  Otherwise the partition comes from a fresh census, which
     stores both cache files.
     """
@@ -334,16 +342,18 @@ def _fresh_classes(
     by_text: dict[str, list[str]] = {}
     for key, text in rows:
         by_text.setdefault(text, []).append(key)
-    labels = {text: _class_label(text) for text in by_text}
-    lines = tuple(sorted(f"{labels[text]}\t{key}" for key, text in rows))
-    shared = sorted(
-        (labels[text], tuple(sorted(members)))
-        for text, members in by_text.items()
-        if len(members) > 1
+    # one sort serves both files: the shared classes in label order, and
+    # the singleton lines, which sort as their (label, [key]) pairs do
+    classes = sorted((_class_label(text), members) for text, members in by_text.items())
+    shared = [(label, tuple(sorted(members))) for label, members in classes
+              if len(members) > 1]
+    report = ClassReport(
+        family.order, k, len(rows), tuple(m for _, m in shared),
+        tuple(label for label, _ in shared),
+        tuple(f"{label}\t{members[0]}" for label, members in classes
+              if len(members) == 1),
     )
-    report = ClassReport(family.order, k, len(lines), tuple(m for _, m in shared),
-                         tuple(label for label, _ in shared), lines)
-    if cache is not None and len(set(labels.values())) == len(labels):
+    if cache is not None and len({label for label, _ in classes}) == len(classes):
         cache.store_classes(report)
     return report
 
@@ -574,31 +584,22 @@ class CensusCache:
     whose sha256 is not its pin raises ``ValueError`` naming the file
     and the remedy, delete it to recompute.  An order outside
     [1, MAX_CENSUS_ORDER] raises ``ValueError`` naming it.  A derived
-    file is read only when it is exactly what ``store_classes`` and
-    ``store_shared`` write for this family and card size: that header, a
-    final newline, and then for a shared file lines of a label and two
-    or more member keys, the keys of each line and the lines strictly
-    increasing, no key twice, and for a class file one ``label<TAB>key``
-    line per singleton class, each greater than the last, whose keys and
-    the shared ones are each member once.  Any
-    other file (a v1 class file too) gets one stderr line and is treated
-    as missing: the partition is recomputed from the cards, and both
-    files are overwritten.
+    file is read only when it is exactly what ``store_classes`` writes
+    for this family and card size: that header, a final newline, and
+    lines that ``_parse_derived`` accepts, each label 32 lowercase hex
+    digits.  Any other file (a v1 class file too) gets one stderr line
+    and is treated as missing: the partition is recomputed from the
+    cards, and both files are overwritten.
 
     ``verify`` and class summaries read only the shared file: at n = 8
     it holds 888 classes (1937 keys) for k = 4, 4 for k = 5 and none for
-    k = 6 and 7.  Only ``classes --format tsv`` reads the class file.
-    Every load of a family file hashes its bytes, but each order is
-    decoded at most once per process: all loads that match the pin
-    return the same ``GraphFamily``, and so share its phi index.
-    Likewise every load of a shared file reads and hashes it, but a
-    family parses and validates a given shared file once: it keeps what
-    it read under the file's header, which holds the sha256 of the
-    body, so a file changed by any byte is parsed and checked again.
-    A rejected file is never kept, and the class file, whose validity
-    depends on the shared file, is parsed on every load.  A one-shot
-    command reads each file once anyway; repeated commands in one
-    process skip the repeated parse.
+    k = 6 and 7.  Only ``classes --format tsv`` reads the class file; a
+    loaded ``ClassReport`` holds its lines as they are.  Every load of a
+    family file hashes its bytes, but each order is decoded at most once
+    per process: all loads that match the pin return the same
+    ``GraphFamily``, and so share its phi index.  Likewise a family
+    parses and validates a given shared file once (see
+    ``_read_derived``); a one-shot command reads each file once anyway.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -622,18 +623,22 @@ class CensusCache:
                 os.unlink(tmp)
             raise
 
-    def _read_derived(self, kind: str, family: GraphFamily, k: int, parse,
-                      memo: dict):
-        """``parse`` of the lines of ``family``'s ``kind`` file for card size
-        ``k``, or None: silently if there is no file, else with one stderr
-        line when its header or final newline is not what
-        ``_write_derived`` writes or ``parse`` returns None.
+    def _read_derived(self, family: GraphFamily, k: int,
+                      shared: SharedClasses | None = None):
+        """``_parse_derived`` of ``family``'s shared file for card size
+        ``k``, or with ``shared`` (read from it) of its class file, or
+        None: silently if there is no file, else with one stderr line
+        when its header or final newline is not what ``_write_derived``
+        writes or ``_parse_derived`` returns None.
 
-        The file is read and hashed on every call.  A parsed result is
-        kept in ``memo`` under (k, header), and a file whose header is
-        right for its body and found there is not parsed again: the
-        header holds the body's sha256, so that file is byte for byte one
-        that ``parse`` accepted."""
+        The file is read and hashed on every call, but a shared file that
+        ``family._shared_reads`` holds under (k, header) is not parsed
+        again: the header holds the body's sha256, so the file is byte for
+        byte one that was accepted.  A rejected file is never kept, and a
+        class file, whose validity depends on the shared file, is parsed
+        on every call."""
+        kind = "shared" if shared is None else "classes"
+        memo = family._shared_reads if shared is None else {}
         path = self._derived_path(kind, family.order, k)
         if not path.exists():
             return None
@@ -643,7 +648,8 @@ class CensusCache:
             return memo[k, header]
         lines = body.decode(errors="replace").split("\n")
         # the last split is empty when the body ends in a newline
-        parsed = parse(lines) if header == expected and not lines.pop() else None
+        parsed = (_parse_derived(family, k, lines, shared)
+                  if header == expected and not lines.pop() else None)
         if parsed is None:
             print(f"{path}: not this census's {kind} file; recomputing it",
                   file=sys.stderr)
@@ -680,70 +686,53 @@ class CensusCache:
         )
 
     def load_classes(self, family: GraphFamily, k: int) -> ClassReport | None:
-        """The partition from a valid shared file and class file: the
-        singleton classes' lines merged with the shared members' lines."""
+        """The partition from a valid shared file and class file."""
         shared = self.load_shared(family, k)
-        if shared is None:
-            return None
-
-        def singleton_lines(lines: list[str]) -> list[str] | None:
-            # lines each greater than the last, whose keys (after the first
-            # tab; a stray tab names no member) and the shared keys are each
-            # member once
-            keys = [*(line.partition("\t")[2] for line in lines),
-                    *chain.from_iterable(shared.shared)]
-            ok = (len(keys) == len(family) and set(keys) == family._member_set
-                  and all(map(lt, lines, islice(lines, 1, None))))
-            return lines if ok else None
-
-        # a fresh memo: whether a class file is valid depends on the shared file
-        lines = self._read_derived("classes", family, k, singleton_lines, {})
-        if lines is None:
-            return None
-        lines.extend(_shared_lines(shared))
-        lines.sort()  # a merge of two sorted runs
-        return ClassReport(family.order, k, shared.members, shared.shared,
-                           shared.labels, tuple(lines))
+        return None if shared is None else self._read_derived(family, k, shared)
 
     def store_classes(self, report: ClassReport) -> None:
-        """Write the singleton classes' lines, then the shared file."""
-        shared = set(_shared_lines(report))
-        self._write_derived(
-            "classes", report, [line for line in report.lines if line not in shared]
-        )
-        self.store_shared(report)
-
-    def load_shared(self, family: GraphFamily, k: int) -> SharedClasses | None:
-        def classes(lines: list[str]) -> SharedClasses | None:
-            rows = [line.split("\t") for line in lines]
-            shared = [row[1:] for row in rows]
-            keys = list(chain.from_iterable(shared))
-            # a label and two or more sorted keys a line, each line greater
-            # than the last, each key a member once (so each line's keys increase)
-            ok = (min(map(len, shared), default=2) > 1
-                  and shared == list(map(sorted, shared))
-                  and all(map(lt, lines, islice(lines, 1, None)))
-                  and len(family._member_set.intersection(keys)) == len(keys))
-            if not ok:
-                return None
-            labels = tuple(row[0] for row in rows)
-            return SharedClasses(family.order, k, len(family),
-                                 tuple(map(tuple, shared)), labels)
-
-        return self._read_derived("shared", family, k, classes, family._shared_reads)
-
-    def store_shared(self, report: SharedClasses) -> None:
+        """Write the class file, then the shared file."""
+        self._write_derived("classes", report, report.singletons)
         self._write_derived("shared", report, (
             "\t".join([label, *members])
             for label, members in zip(report.labels, report.shared)
         ))
 
+    def load_shared(self, family: GraphFamily, k: int) -> SharedClasses | None:
+        return self._read_derived(family, k)
 
-def _shared_lines(report: SharedClasses):
-    """The ``digest<TAB>key`` line of each shared-class member."""
-    for label, members in zip(report.labels, report.shared):
-        for key in members:
-            yield f"{label}\t{key}"
+
+def _parse_derived(family: GraphFamily, k: int, lines: list[str],
+                   shared: SharedClasses | None):
+    """What the ``label<TAB>key...`` lines of ``family``'s shared file
+    for card size ``k`` hold, or with ``shared`` (read from that file)
+    what they and the lines of its class file hold; None unless the
+    rules of both files hold: each label is what ``_class_label``
+    writes, the labels strictly increase, and every key is a member,
+    none twice.  A shared line then has two or more keys, in increasing
+    order.  A class line has one key and no shared class's label, and
+    its keys and the shared ones are each member once."""
+    rows = [line.split("\t") for line in lines]
+    labels = [row[0] for row in rows]
+    keys = [row[1:] for row in rows]
+    flat = list(chain.from_iterable(keys))
+    members = family._member_set
+    if shared is not None:
+        members = members.difference(chain.from_iterable(shared.shared))
+    if not (all(map(_IS_LABEL, labels))
+            and all(map(lt, labels, islice(labels, 1, None)))
+            and len(members.intersection(flat)) == len(flat)):
+        return None
+    if shared is None:
+        if min(map(len, keys), default=2) > 1 and keys == list(map(sorted, keys)):
+            return SharedClasses(family.order, k, len(family),
+                                 tuple(map(tuple, keys)), tuple(labels))
+        return None
+    if (set(map(len, keys)) <= {1} and len(flat) == len(members)
+            and set(shared.labels).isdisjoint(labels)):
+        return ClassReport(family.order, k, shared.members, shared.shared,
+                           shared.labels, tuple(lines))
+    return None
 
 
 # Format version of each file derived from a family's k-deck partition.
@@ -776,11 +765,18 @@ def emit_report(report: SharedClasses, fmt: str = "summary") -> str:
     """Render a class partition deterministically.
 
     ``summary`` is a single line; ``tsv`` lists every member's
-    ``digest<TAB>key`` line under a header line, so it needs a
-    ``ClassReport``.
+    ``digest<TAB>key`` line, sorted, under a header line, so it needs a
+    ``ClassReport``: its singleton lines merged with a line for each
+    member of its shared classes.
     """
     if fmt == "summary":
         return summary_line(report)
     if fmt == "tsv":
-        return "\n".join(["digest\tkey", *report.lines]) + "\n"
+        lines = [*report.singletons, *(
+            f"{label}\t{key}"
+            for label, members in zip(report.labels, report.shared)
+            for key in members
+        )]
+        lines.sort()  # a merge of two sorted runs
+        return "\n".join(["digest\tkey", *lines]) + "\n"
     raise ValueError(f"unknown format {fmt!r}; choose summary or tsv")

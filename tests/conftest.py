@@ -1,8 +1,9 @@
 import sys
+from functools import cache, partial
 
 import pytest
 
-from deckcensus.census import enumerate_graphs
+from deckcensus.census import deck_classes, enumerate_graphs
 
 
 @pytest.fixture(autouse=True)
@@ -42,6 +43,13 @@ def family7():
 @pytest.fixture(scope="session")
 def family8():
     return enumerate_graphs(8)
+
+
+@pytest.fixture(scope="session")
+def classes8(family8):
+    """``deck_classes(family8, k)`` for a card size k, each census run
+    once per session."""
+    return cache(partial(deck_classes, family8))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

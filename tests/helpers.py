@@ -35,11 +35,7 @@ def partition(report: ClassReport) -> tuple[tuple[str, ...], ...]:
     """Every deck class of ``report``, singletons included, as its sorted
     members; the classes in sorted order.  Two classes that share a label
     stay two classes."""
-    in_shared = {key for members in report.shared for key in members}
-    singles = [
-        (key,) for key in (line.split("\t")[1] for line in report.lines)
-        if key not in in_shared
-    ]
+    singles = [(line.split("\t")[1],) for line in report.singletons]
     return tuple(sorted([*report.shared, *singles]))
 
 

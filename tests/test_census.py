@@ -1,6 +1,7 @@
 """Enumeration, deck-class partitions, invariant checks, and realization
 search over small families."""
 
+import bisect
 import concurrent.futures
 import hashlib
 import io
@@ -60,6 +61,9 @@ from .helpers import phi_term_by_term
 C5K1_KEY = canonical_key(named_graph("cycle5+empty1"))
 KPP_KEY = canonical_key(claw_subdivided(2))
 C4K1_KEY = canonical_key(named_graph("cycle4+empty1"))
+# the label of C4 + K1's 3-deck class, which is shared
+C4K1_LABEL = census._class_label(
+    entry_text(compute_deck(named_graph("cycle4+empty1"), 3).entries))
 KP_KEY = canonical_key(claw_subdivided(1))
 
 
@@ -402,29 +406,47 @@ def test_violation_scan_equals_the_pairwise_definition(family5, family6, family7
                 assert count_violations(report, invariant) == len(pairs)
 
 
+def _edge_counts(family):
+    return {key: sum(map(int.bit_count, from_graph6(key).rows)) // 2
+            for key in family.members}
+
+
+def _assert_sizes_mirror(report, edges):
+    """The members of ``report``'s classes with e edges, counted by
+    class size, are those with C(n, 2) - e edges."""
+    sizes = Counter(
+        (e, size)
+        for members in partition(report)
+        for e, size in Counter(edges[key] for key in members).items()
+    )
+    n, k = report.order, report.card_size
+    assert sizes == Counter(
+        {(comb(n, 2) - e, size): c for (e, size), c in sizes.items()}
+    ), (n, k)
+
+
 def test_complement_maps_the_deck_partition_onto_itself(family5, family6, family7):
     # The k-cards of a complement are the complements of the k-cards, so
     # complementing maps each deck class onto a deck class and e edges
     # onto C(n, 2) - e.  Checked without reading any class label.
     for family in _families_up_to_7(family5, family6, family7):
         n = family.order
-        edges = {key: sum(map(int.bit_count, from_graph6(key).rows)) // 2
-                 for key in family.members}
+        edges = _edge_counts(family)
         flip = {key: canonical_key(complement(from_graph6(key)))
                 for key in family.members}
         for k in range(1, n + 1):
             report = deck_classes(family, k)
-            sizes = Counter(
-                (e, size)
-                for members in partition(report)
-                for e, size in Counter(edges[key] for key in members).items()
-            )
-            assert sizes == Counter(
-                {(comb(n, 2) - e, size): c for (e, size), c in sizes.items()}
-            ), (n, k)
+            _assert_sizes_mirror(report, edges)
             shared = set(report.shared)
             assert {tuple(sorted(map(flip.get, members))) for members in shared} == (
                 shared), (n, k)
+
+
+def test_complement_keeps_class_sizes_at_n8(family8, classes8):
+    # the class sizes half of the check above, at every card size
+    edges = _edge_counts(family8)
+    for k in range(1, 9):
+        _assert_sizes_mirror(classes8(k), edges)
 
 
 def test_find_reconstructions_exhaustive(family6):
@@ -444,11 +466,12 @@ def test_find_reconstructions_always_contains_origin(family6):
             assert key in find_reconstructions(compute_deck(g, k), family6)
 
 
-def _assert_matches_deck_classes(family, card_sizes, members):
-    for k in card_sizes:
+def _assert_matches_deck_classes(family, reports, members):
+    for report in reports:
+        k = report.card_size
         classes = {
             key: members
-            for members in partition(deck_classes(family, k))
+            for members in partition(report)
             for key in members
         }
         for key in members:
@@ -481,16 +504,18 @@ def test_phi_table_equals_phi_formula(family5, family6, family7, family8):
 
 
 def test_find_reconstructions_matches_deck_classes_n6(family6):
-    _assert_matches_deck_classes(family6, range(1, 7), family6.members)
+    reports = (deck_classes(family6, k) for k in range(1, 7))
+    _assert_matches_deck_classes(family6, reports, family6.members)
 
 
 def test_find_reconstructions_matches_deck_classes_n7(family7):
-    _assert_matches_deck_classes(family7, range(3, 7), family7.members)
+    reports = (deck_classes(family7, k) for k in range(3, 7))
+    _assert_matches_deck_classes(family7, reports, family7.members)
 
 
-def test_find_reconstructions_matches_deck_classes_n8(family8):
+def test_find_reconstructions_matches_deck_classes_n8(family8, classes8):
     sample = random.Random(8).sample(family8.members, 60)
-    _assert_matches_deck_classes(family8, range(4, 8), sample)
+    _assert_matches_deck_classes(family8, map(classes8, range(4, 8)), sample)
 
 
 def test_four_deck_screen_spares_the_k_decks(monkeypatch, family7):
@@ -726,6 +751,17 @@ HEADER_DAMAGES = {
     "extra-field": lambda header: header + " extra",
     "empty-header": lambda header: "",
 }
+def _relabeled(line, label):
+    return label + "\t" + line.split("\t", 1)[1]
+
+
+def _under_shared_label(lines):
+    """``lines`` with the first line whose label exceeds C4K1_LABEL
+    relabeled with it, so that the lines stay sorted."""
+    i = bisect.bisect(lines, C4K1_LABEL)
+    return lines[:i] + [_relabeled(lines[i], C4K1_LABEL)] + lines[i + 1:]
+
+
 # ... and wrong lines behind a header that matches them
 LINE_DAMAGES = {
     "no-tab": lambda ls: ls[:3] + ["no tab here"] + ls[4:],
@@ -739,6 +775,12 @@ LINE_DAMAGES = {
     "one-line-long": lambda ls: ls + ["ffffffffffffffffffffffffffffffff\tD~{"],
     # the first singleton line names a member of a shared class instead
     "shared-member-key": lambda ls: [ls[0].split("\t")[0] + "\t" + C4K1_KEY, *ls[1:]],
+    # a singleton line under a shared class's label
+    "shared-label": _under_shared_label,
+    # one line's key moved onto the line before it
+    "key-moved": lambda ls: (
+        ls[:2] + [_line_with(ls[2], ls[3].split("\t")[1]), ls[3].split("\t")[0]]
+        + ls[4:]),
 }
 
 
@@ -773,7 +815,13 @@ def test_emit_report_formats(family5):
     summary = emit_report(rep, "summary")
     assert summary == f"n=5 k=3 classes={len(partition(rep))}\n"
     tsv = emit_report(rep, "tsv")
-    assert tsv == "digest\tkey\n" + "".join(line + "\n" for line in rep.lines)
+    # every member's line, labeled here from its own deck, sorted
+    lines = sorted(
+        census._class_label(entry_text(compute_deck(from_graph6(key), 3).entries))
+        + "\t" + key
+        for key in family5.members
+    )
+    assert tsv == "digest\tkey\n" + "".join(line + "\n" for line in lines)
     with pytest.raises(ValueError):
         emit_report(rep, "yaml")
 
@@ -789,7 +837,8 @@ def test_shared_file_lists_the_shared_classes(tmp_path, family5, family6):
         cache = CensusCache(tmp_path / str(n))
         for k in range(1, n + 1):
             report = deck_classes(family, k)
-            assert report.members == len(report.lines) == len(family)
+            assert report.members == len(family) == len(report.singletons) + sum(
+                map(len, report.shared))
             assert deck_classes(family, k, cache=cache) == report
             path = tmp_path / str(n) / f"shared_n{n}_k{k}.tsv"
             header, *lines = path.read_text().splitlines()
@@ -807,6 +856,7 @@ def test_shared_file_lists_the_shared_classes(tmp_path, family5, family6):
                 f"#deckcensus-classes v2 n={n} k={k} members={len(family)} sha256=")
             single_keys = [line.split("\t")[1] for line in singles]
             assert len(set(line.split("\t")[0] for line in singles)) == len(singles)
+            assert tuple(singles) == report.singletons
             assert sorted(single_keys + [key for keys in report.shared
                                          for key in keys]) == list(family.members)
 
@@ -824,6 +874,28 @@ def _counted_tallies(monkeypatch):
     for module in (census, decks):
         monkeypatch.setattr(module, "_deck_tally", counted)
     return calls
+
+
+def test_warm_n8_class_tsv_is_the_pinned_cold_tsv(
+        monkeypatch, tmp_path, capsys, family8, classes8):
+    # the files that a cold census stores, then the command warm: it
+    # reads 888 shared classes and 10409 singleton lines, walks no card
+    # and prints the cold output, which the benchmark pins
+    cold = classes8(4)
+    assert (len(cold.shared), len(cold.singletons)) == (888, 10409)
+    cache = CensusCache(tmp_path)
+    cache.store_family(family8)
+    cache.store_classes(cold)
+    calls = _counted_tallies(monkeypatch)
+    out = io.StringIO()
+    argv = ["classes", "-n", "8", "-k", "4", "--format", "tsv", "--cache-dir", str(tmp_path)]
+    assert dispatch(argv, out=out) == 0
+    assert calls == [] and capsys.readouterr().err == ""
+    assert out.getvalue() == emit_report(cold, "tsv")
+    pins = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench/data/pins.json").read_text())
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == pins["classes"]["4"]["tsv_sha256"]
 
 
 def test_missing_shared_file_is_recomputed(monkeypatch, tmp_path, family6):
@@ -890,6 +962,10 @@ SHARED_LINE_DAMAGES = {
     "repeated-line": lambda ls: [ls[0], *ls],
     "key-on-two-lines": lambda ls: [ls[0], _line_with(ls[1], ls[0].split("\t")[1])],
     "no-label": lambda ls: [line.split("\t", 1)[1] for line in ls],
+    "empty-label": lambda ls: [_relabeled(ls[0], ""), *ls[1:]],
+    "non-hex-label": lambda ls: [_relabeled(ls[0], ls[0].split("\t")[0].upper()), *ls[1:]],
+    # every line under the first line's label, the lines still sorted
+    "label-twice": lambda ls: sorted(_relabeled(line, ls[0].split("\t")[0]) for line in ls),
     # a key replaced by one that is not a member: C4 + K1 in its named,
     # non-canonical labelling
     "non-member-key": lambda ls: [

@@ -466,8 +466,8 @@ def _flipped_label_byte(cache):
 
 def _v1(cache):
     # the format before the shared file: every member's line, v1 header
-    body = "".join(line + "\n" for line in census.deck_classes(
-        census.enumerate_graphs(5), 3).lines)
+    tsv = census.emit_report(census.deck_classes(census.enumerate_graphs(5), 3), "tsv")
+    body = tsv.partition("\n")[2]
     digest = hashlib.sha256(body.encode()).hexdigest()
     _class_file(cache).write_text(
         f"#deckcensus-classes v1 n=5 k=3 members=34 sha256={digest}\n{body}")
