@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 import sys
 import tempfile
 from collections import Counter
@@ -95,7 +94,7 @@ def _class_label(text: str) -> str:
     return f"{_fnv128(text.encode()):032x}"
 
 
-_IS_LABEL = re.compile("[0-9a-f]{32}").fullmatch  # what _class_label writes
+_LABEL_DIGITS = b"0123456789abcdef"  # what _class_label writes, 32 of them
 
 
 @dataclass(frozen=True)
@@ -148,6 +147,14 @@ class SharedClasses:
     order, for the shared file.  Every other member is a class of its
     own, so the partition has ``members - sum(len(keys) - 1 for keys in
     shared)`` classes, and no object is built for a singleton.
+
+    The object also keeps, per invariant name, the shared classes whose
+    members disagree on it (see ``_disagreeing_classes``), so an
+    invariant values each member once per object.  A read of a shared
+    file is one object per family and file content
+    (``GraphFamily._shared_reads``), so repeated checks of an unchanged
+    file value nothing again, while a changed file, another family
+    object or a fresh census gives an object that starts empty.
     """
 
     order: int
@@ -155,6 +162,10 @@ class SharedClasses:
     members: int
     shared: tuple[tuple[str, ...], ...]
     labels: tuple[str, ...]
+    # invariant name -> what ``_disagreeing_classes`` returns for it
+    _disagreeing: dict[str, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -336,8 +347,13 @@ def _fresh_classes(
     family: GraphFamily, k: int, jobs: int, cache: "CensusCache | None"
 ) -> ClassReport:
     """``deck_classes`` without the cache files: walk every member's
-    cards, and store the result when its labels are distinct."""
-    rows = _map_chunks(_deck_chunk, family.members, jobs, k)
+    cards (at k = n, read its one card off its key), and store the
+    result when its labels are distinct."""
+    if k == family.order:
+        # a member's one n-card is the member, and members are canonical
+        rows = [(key, entry_text({key: 1})) for key in family.members]
+    else:
+        rows = _map_chunks(_deck_chunk, family.members, jobs, k)
 
     by_text: dict[str, list[str]] = {}
     for key, text in rows:
@@ -360,11 +376,13 @@ def _fresh_classes(
 
 # The invariants ``verify`` checks, one row each: name -> (its value on a
 # member, read from the member's canonical key; the witness text for two
-# differing values).  Rows look ``_degree_counts_of_key`` and
-# ``_key_is_connected`` up on this module at call time, so they call
-# whatever is bound there; both keep their value per key, so repeated
-# checks in one process decode and count each member once.  Degree counts
-# are equal exactly when degree lists are, and the witness prints lists.
+# differing values).  A row is looked up once per shared read and
+# invariant: ``_disagreeing_classes`` keeps its result on the read.  Rows
+# look ``_degree_counts_of_key`` and ``_key_is_connected`` up on this
+# module at call time, so they call whatever is bound there; both keep
+# their value per key, so a fresh read of a file in the same process
+# decodes and counts no member again.  Degree counts are equal exactly
+# when degree lists are, and the witness prints lists.
 INVARIANTS = {
     "degree_list": (
         lambda key: _degree_counts_of_key(key),
@@ -382,18 +400,22 @@ INVARIANTS = {
 
 def _disagreeing_classes(report: SharedClasses, invariant: str):
     """``invariant``'s witness, and the (members, values) of each shared
-    class whose members do not all take one value of it; every member
-    of a shared class is valued once."""
+    class whose members do not all take one value of it.  Kept on
+    ``report`` per invariant, so every member of a shared class is
+    valued once per report."""
     if invariant not in INVARIANTS:
         choices = tuple(INVARIANTS)
         raise ValueError(f"unknown invariant {invariant!r}; choose from {choices}")
-    value, witness = INVARIANTS[invariant]
-    classes = []
-    for members in report.shared:
-        values = list(map(value, members))
-        if values.count(values[0]) < len(values):
-            classes.append((members, values))
-    return witness, classes
+    found = report._disagreeing.get(invariant)
+    if found is None:
+        value, witness = INVARIANTS[invariant]
+        classes = []
+        for members in report.shared:
+            values = tuple(map(value, members))
+            if values.count(values[0]) < len(values):
+                classes.append((members, values))
+        found = report._disagreeing[invariant] = witness, tuple(classes)
+    return found
 
 
 def verify_invariant(report: SharedClasses, invariant: str) -> tuple[Violation, ...]:
@@ -712,23 +734,25 @@ def _parse_derived(family: GraphFamily, k: int, lines: list[str],
     none twice.  A shared line then has two or more keys, in increasing
     order.  A class line has one key and no shared class's label, and
     its keys and the shared ones are each member once."""
-    rows = [line.split("\t") for line in lines]
-    labels = [row[0] for row in rows]
-    keys = [row[1:] for row in rows]
-    flat = list(chain.from_iterable(keys))
-    members = family._member_set
-    if shared is not None:
-        members = members.difference(chain.from_iterable(shared.shared))
-    if not (all(map(_IS_LABEL, labels))
+    # a line is a label, which is 32 characters long, a tab and the keys
+    labels = [line[:32] for line in lines]
+    if not (set(map(len, labels)) <= {32}
+            and not "".join(labels).encode().translate(None, _LABEL_DIGITS)
             and all(map(lt, labels, islice(labels, 1, None)))
-            and len(members.intersection(flat)) == len(flat)):
+            and {line[32:33] for line in lines} <= {"\t"}):
         return None
     if shared is None:
-        if min(map(len, keys), default=2) > 1 and keys == list(map(sorted, keys)):
+        keys = [line[33:].split("\t") for line in lines]
+        flat = list(chain.from_iterable(keys))
+        if (min(map(len, keys), default=2) > 1 and keys == list(map(sorted, keys))
+                and len(family._member_set.intersection(flat)) == len(flat)):
             return SharedClasses(family.order, k, len(family),
                                  tuple(map(tuple, keys)), tuple(labels))
         return None
-    if (set(map(len, keys)) <= {1} and len(flat) == len(members)
+    # a key is a member, so it holds no tab
+    keys = [line[33:] for line in lines]
+    members = family._member_set.difference(chain.from_iterable(shared.shared))
+    if (len(members.intersection(keys)) == len(keys) == len(members)
             and set(shared.labels).isdisjoint(labels)):
         return ClassReport(family.order, k, shared.members, shared.shared,
                            shared.labels, tuple(lines))

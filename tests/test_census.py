@@ -388,22 +388,36 @@ def _families_up_to_7(family5, family6, family7):
             for n in range(1, 8)]
 
 
+def _pairwise_violations(report, invariant):
+    """``invariant``'s violations in ``report`` by definition: each pair
+    of one shared class whose values differ, as (key, key, witness)."""
+    value, witness = census.INVARIANTS[invariant]
+    return sorted(
+        (a, b, witness(value(a), value(b)))
+        for members in report.shared
+        for a, b in combinations(members, 2)
+        if value(a) != value(b)
+    )
+
+
+def _checked(report, invariant):
+    """``verify_invariant`` as (key, key, witness) rows, and ``count_violations``."""
+    found = verify_invariant(report, invariant)
+    return [(v.key_a, v.key_b, v.witness) for v in found], count_violations(
+        report, invariant)
+
+
 def test_violation_scan_equals_the_pairwise_definition(family5, family6, family7):
     for family in _families_up_to_7(family5, family6, family7):
         n = family.order
         for k in range(2, n):
             report = shared_classes(family, k)
-            for invariant, (value, witness) in census.INVARIANTS.items():
-                pairs = sorted(
-                    (a, b, witness(value(a), value(b)))
-                    for members in report.shared
-                    for a, b in combinations(members, 2)
-                    if value(a) != value(b)
-                )
-                found = verify_invariant(report, invariant)
-                assert [(v.key_a, v.key_b, v.witness) for v in found] == pairs, (
-                    n, k, invariant)
-                assert count_violations(report, invariant) == len(pairs)
+            for invariant in census.INVARIANTS:
+                pairs = _pairwise_violations(report, invariant)
+                # the second check reads what the first kept on the report
+                for _ in range(2):
+                    assert _checked(report, invariant) == (pairs, len(pairs)), (
+                        n, k, invariant)
 
 
 def _edge_counts(family):
@@ -708,6 +722,19 @@ def test_cache_roundtrip(tmp_path, family5):
         reloaded.shared = ()
 
 
+def _labeled_classes(family, k):
+    """``family``'s k-deck classes, grouped here by the entry text of
+    each member's ``compute_deck`` and labeled directly, as sorted
+    (label, members) pairs."""
+    by_text = {}
+    for key in family.members:
+        text = entry_text(compute_deck(from_graph6(key), k).entries)
+        by_text.setdefault(text, []).append(key)
+    return sorted(
+        (census._class_label(text), tuple(members)) for text, members in by_text.items()
+    )
+
+
 def test_reload_builds_only_shared_classes(tmp_path, family5, family6):
     for family in (family5, family6):
         n = family.order
@@ -717,19 +744,33 @@ def test_reload_builds_only_shared_classes(tmp_path, family5, family6):
             assert (tmp_path / f"classes_n{n}_k{k}.tsv").exists()
             warm = deck_classes(family, k, cache=cache)
             assert warm == cold
-            # the partition, grouped here by deck text and labeled directly
-            by_text = {}
-            for key in family.members:
-                text = entry_text(compute_deck(from_graph6(key), k).entries)
-                by_text.setdefault(text, []).append(key)
-            labeled = sorted(
-                (census._class_label(text), tuple(members))
-                for text, members in by_text.items()
-            )
+            labeled = _labeled_classes(family, k)
             assert partition(warm) == tuple(sorted(c for _, c in labeled))
             # only the classes of two or more members, in label order
             assert warm.shared == tuple(c for _, c in labeled if len(c) >= 2)
-            assert census.summary_line(warm) == f"n={n} k={k} classes={len(by_text)}\n"
+            assert census.summary_line(warm) == f"n={n} k={k} classes={len(labeled)}\n"
+
+
+def test_full_card_census_reads_each_card_off_its_key(
+        monkeypatch, family5, family6, family7, family8):
+    # at k = n a member's one card is the member itself
+    for family in _families_up_to_7(family5, family6, family7):
+        n = family.order
+        labeled = _labeled_classes(family, n)
+        report = deck_classes(family, n)
+        assert report.shared == report.labels == ()
+        assert report.singletons == tuple(f"{label}\t{key}" for label, (key,) in labeled)
+    calls = []
+    real = decks._key_for_rows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decks, "_key_for_rows", counted)
+    report = deck_classes(family8, 8)
+    assert calls == []
+    assert len(report.singletons) == len(family8) and report.shared == ()
 
 
 def test_class_count_keeps_colliding_classes_apart(monkeypatch, family6):
@@ -1052,3 +1093,66 @@ def test_shared_reads_are_memoized_only_for_unchanged_files(tmp_path, capsys, fa
     assert again == first and again is not first
     assert cache.load_shared(other, 3) is again
     assert capsys.readouterr().err == ""
+
+
+def _counted_values(monkeypatch):
+    """Patch the member values that ``census.INVARIANTS`` reads, and
+    return the list of keys they are called on."""
+    valued = []
+    for name in ("_degree_counts_of_key", "_key_is_connected"):
+        real = getattr(census, name)
+
+        def counted(key, real=real):
+            valued.append(key)
+            return real(key)
+
+        monkeypatch.setattr(census, name, counted)
+    return valued
+
+
+def test_checks_of_a_shared_read_value_each_member_once(
+        monkeypatch, tmp_path, family6):
+    family = GraphFamily(6, family6.members)
+    cache = CensusCache(tmp_path)
+    deck_classes(family, 3, cache=cache)
+    report = cache.load_shared(family, 3)
+    shared_keys = sorted(key for members in report.shared for key in members)
+    expected = {invariant: _pairwise_violations(report, invariant)
+                for invariant in ("degree_list", "connectedness")}
+    valued = _counted_values(monkeypatch)
+    # an invariant's first check values every shared member once,
+    # whichever function makes it ...
+    for invariant, check in zip(expected, (verify_invariant, count_violations)):
+        check(report, invariant)
+        assert sorted(valued) == shared_keys, invariant
+        valued.clear()
+    # ... and every later one, through the memoized read too, values none
+    for invariant, pairs in expected.items():
+        for read in (report, cache.load_shared(family, 3)):
+            assert _checked(read, invariant) == (pairs, len(pairs))
+    assert valued == []
+    # an unknown name still raises, and is not kept
+    for check in (verify_invariant, count_violations):
+        with pytest.raises(ValueError, match="unknown invariant 'girth'"):
+            check(report, "girth")
+    assert set(report._disagreeing) == set(expected)
+    # a valid file without the class of the first degree-list violation
+    # is a read of its own, with its own answer
+    path = tmp_path / "shared_n6_k3.tsv"
+    stored = path.read_bytes()
+    lines = stored.decode().splitlines()[1:]
+    key = expected["degree_list"][0][0]
+    path.write_text(_rehashed("shared", 6, 3, 156, [
+        line for line in lines if key not in line.split("\t")]))
+    fewer = cache.load_shared(family, 3)
+    assert len(fewer.shared) == len(report.shared) - 1
+    for invariant in expected:
+        pairs = _pairwise_violations(fewer, invariant)
+        assert _checked(fewer, invariant) == (pairs, len(pairs))
+    assert _checked(fewer, "degree_list")[0] != expected["degree_list"]
+    # the stored file is the first read again, with what it kept
+    path.write_bytes(stored)
+    valued.clear()
+    assert cache.load_shared(family, 3) is report
+    assert _checked(report, "degree_list")[0] == expected["degree_list"]
+    assert valued == []
