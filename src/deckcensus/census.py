@@ -114,10 +114,12 @@ class GraphFamily:
     _by_phi: dict[int, dict[tuple[int, ...], list[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # (card size, shared-file header) -> the classes ``load_shared`` read
-    # and validated under that header; the header holds the sha256 of the
-    # file's body, so a changed file never hits it
-    _shared_reads: dict[tuple[int, bytes], SharedClasses] = field(
+    # (kind, card size) -> (bytes, shared read, read) of each shared or
+    # class file that ``CensusCache._read_derived`` accepted for this
+    # family: the file's bytes, the shared read a class file was checked
+    # against (None for a shared file), and what was read.  Only a file
+    # of equal bytes, read beside the same shared read, is served from it
+    _derived_reads: dict[tuple[str, int], list[tuple]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -150,9 +152,10 @@ class SharedClasses:
 
     The object also keeps, per invariant name, the shared classes whose
     members disagree on it (see ``_disagreeing_classes``), so an
-    invariant values each member once per object.  A read of a shared
-    file is one object per family and file content
-    (``GraphFamily._shared_reads``), so repeated checks of an unchanged
+    invariant values each member once per object, and the pairs that
+    ``verify_invariant`` listed, so it builds them once per object.  A
+    read of a shared file is one object per family and file content
+    (``GraphFamily._derived_reads``), so repeated checks of an unchanged
     file value nothing again, while a changed file, another family
     object or a fresh census gives an object that starts empty.
     """
@@ -164,6 +167,11 @@ class SharedClasses:
     labels: tuple[str, ...]
     # invariant name -> what ``_disagreeing_classes`` returns for it
     _disagreeing: dict[str, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # invariant name -> what ``verify_invariant`` returns for it; only it
+    # fills this, since ``count_violations`` serves classes too large to list
+    _violations: dict[str, tuple[Violation, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -422,17 +430,22 @@ def verify_invariant(report: SharedClasses, invariant: str) -> tuple[Violation, 
     """Every in-class pair that disagrees on ``invariant`` (see ``INVARIANTS``), sorted.
 
     Only the shared classes are read (a singleton has no pair), and only
-    those whose members disagree are searched for pairs.
+    those whose members disagree are searched for pairs.  The result is
+    kept on ``report`` per invariant.
     """
-    witness, classes = _disagreeing_classes(report, invariant)
-    violations = [
-        Violation(key_a, key_b, witness(value_a, value_b))
-        for members, values in classes
-        for (key_a, value_a), (key_b, value_b) in combinations(zip(members, values), 2)
-        if value_a != value_b
-    ]
-    violations.sort(key=lambda v: (v.key_a, v.key_b))
-    return tuple(violations)
+    found = report._violations.get(invariant)
+    if found is None:
+        witness, classes = _disagreeing_classes(report, invariant)
+        violations = [
+            Violation(key_a, key_b, witness(value_a, value_b))
+            for members, values in classes
+            for (key_a, value_a), (key_b, value_b)
+            in combinations(zip(members, values), 2)
+            if value_a != value_b
+        ]
+        violations.sort(key=lambda v: (v.key_a, v.key_b))
+        found = report._violations[invariant] = tuple(violations)
+    return found
 
 
 def count_violations(report: SharedClasses, invariant: str) -> int:
@@ -578,13 +591,23 @@ def known_pairs(l: int) -> tuple[tuple[Graph, Graph, int], ...]:
 # ---------------------------------------------------------------------------
 # persistent cache
 
-# Families that ``CensusCache.load_family`` decoded, by order.  Each was
-# decoded from bytes that matched the order's pin, so an order has one
-# possible content and an entry can never go stale.  Every command in a
-# process that loads an order reads this one object, and so one
-# grouping by degree counts (``GraphFamily._by_counts``) and one phi
+# Families that ``CensusCache.load_family`` decoded, by order, each with
+# the bytes it was decoded from.  Those bytes matched the order's pin, so
+# an order has one possible content and an entry can never go stale; a
+# load of equal bytes is served without hashing them again.  Every
+# command in a process that loads an order reads this one object, and so
+# one grouping by degree counts (``GraphFamily._by_counts``) and one phi
 # index per card size (``GraphFamily._by_phi``).
-_DECODED_FAMILIES: dict[int, GraphFamily] = {}
+_DECODED_FAMILIES: dict[int, tuple[bytes, GraphFamily]] = {}
+
+
+def _read_or_none(path: Path) -> bytes | None:
+    """The bytes of ``path``, or None if there is no such file (also one
+    deleted since it was listed)."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
 
 
 class CensusCache:
@@ -616,11 +639,12 @@ class CensusCache:
     ``verify`` and class summaries read only the shared file: at n = 8
     it holds 888 classes (1937 keys) for k = 4, 4 for k = 5 and none for
     k = 6 and 7.  Only ``classes --format tsv`` reads the class file; a
-    loaded ``ClassReport`` holds its lines as they are.  Every load of a
-    family file hashes its bytes, but each order is decoded at most once
-    per process: all loads that match the pin return the same
-    ``GraphFamily``, and so share its phi index.  Likewise a family
-    parses and validates a given shared file once (see
+    loaded ``ClassReport`` holds its lines as they are.  Every load
+    reads its file, but each order is decoded at most once per process:
+    all loads that match the pin return the same ``GraphFamily``, and so
+    share its phi index, and a load whose bytes equal the decoded ones
+    returns it without hashing them.  Likewise a family hashes, parses
+    and validates a given shared or class file once (see
     ``_read_derived``); a one-shot command reads each file once anyway.
     """
 
@@ -653,21 +677,24 @@ class CensusCache:
         when its header or final newline is not what ``_write_derived``
         writes or ``_parse_derived`` returns None.
 
-        The file is read and hashed on every call, but a shared file that
-        ``family._shared_reads`` holds under (k, header) is not parsed
-        again: the header holds the body's sha256, so the file is byte for
-        byte one that was accepted.  A rejected file is never kept, and a
-        class file, whose validity depends on the shared file, is parsed
-        on every call."""
+        The file is read on every call, but one whose bytes equal those
+        of a file that ``family._derived_reads`` holds, read beside the
+        same ``shared`` object, is served from it without being hashed,
+        parsed or validated again: those bytes passed every check for
+        this family and that shared read.  A rejected file is never kept,
+        and a class file read beside another shared read is checked
+        again, since its validity depends on the shared file."""
         kind = "shared" if shared is None else "classes"
-        memo = family._shared_reads if shared is None else {}
         path = self._derived_path(kind, family.order, k)
-        if not path.exists():
+        data = _read_or_none(path)
+        if data is None:
             return None
-        header, _, body = path.read_bytes().partition(b"\n")
+        memo = family._derived_reads.setdefault((kind, k), [])
+        for held, against, read in memo:
+            if held == data and against is shared:
+                return read
+        header, _, body = data.partition(b"\n")
         expected = _class_header(family.order, k, len(family), body, kind).encode()
-        if header == expected and (k, header) in memo:
-            return memo[k, header]
         lines = body.decode(errors="replace").split("\n")
         # the last split is empty when the body ends in a newline
         parsed = (_parse_derived(family, k, lines, shared)
@@ -676,7 +703,7 @@ class CensusCache:
             print(f"{path}: not this census's {kind} file; recomputing it",
                   file=sys.stderr)
         else:
-            memo[k, header] = parsed
+            memo.append((data, shared, parsed))
         return parsed
 
     def _write_derived(self, kind: str, report: SharedClasses, lines) -> None:
@@ -688,18 +715,21 @@ class CensusCache:
     def load_family(self, n: int) -> GraphFamily | None:
         _check_order(n)
         path = self._family_path(n)
-        if not path.exists():
+        data = _read_or_none(path)
+        if data is None:
             return None
-        data = path.read_bytes()
+        decoded = _DECODED_FAMILIES.get(n)
+        if decoded is not None and decoded[0] == data:
+            return decoded[1]
         if hashlib.sha256(data).hexdigest() != FAMILY_SHA256[n - 1]:
             wrong = f"not the {GRAPH_COUNTS[n - 1]} graphs on {n} vertices"
             raise ValueError(
                 f"{path}: {wrong} (sha256 differs from its pin); delete it to recompute"
             )
-        family = _DECODED_FAMILIES.get(n)
-        if family is None:
-            members = tuple(data.decode().split())  # graph6 has no whitespace
-            family = _DECODED_FAMILIES[n] = GraphFamily(n, members)
+        # bytes that pass the pin equal any held ones, so none are held yet
+        members = tuple(data.decode().split())  # graph6 has no whitespace
+        family = GraphFamily(n, members)
+        _DECODED_FAMILIES[n] = data, family
         return family
 
     def store_family(self, family: GraphFamily) -> None:

@@ -21,6 +21,7 @@ from deckcensus.census import (
     CensusCache,
     GraphFamily,
     SharedClasses,
+    Violation,
     count_violations,
     deck_classes,
     emit_report,
@@ -1095,6 +1096,132 @@ def test_shared_reads_are_memoized_only_for_unchanged_files(tmp_path, capsys, fa
     assert capsys.readouterr().err == ""
 
 
+def _counted(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper, and return the list of the
+    argument tuples it is called with."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_warm_loads_of_unchanged_files_hash_nothing(monkeypatch, tmp_path, family6):
+    cache = CensusCache(tmp_path)
+    cache.store_family(family6)
+    family = cache.load_family(6)
+    report = deck_classes(family, 3, cache=cache)
+    shared = cache.load_shared(family, 3)
+    classes = cache.load_classes(family, 3)
+    assert classes == report
+    hashed = _counted(monkeypatch, hashlib, "sha256")
+    parsed = _counted(monkeypatch, census, "_parse_derived")
+    # each file is read again, and its bytes are the ones already accepted
+    assert cache.load_family(6) is family
+    assert cache.load_shared(family, 3) is shared
+    assert cache.load_classes(family, 3) is classes
+    assert hashed == parsed == []
+
+
+def test_changed_shared_body_misses_the_memo(monkeypatch, tmp_path, capsys, family6):
+    family = GraphFamily(6, family6.members)
+    cache = CensusCache(tmp_path)
+    report = deck_classes(family, 3, cache=cache)
+    path = tmp_path / "shared_n6_k3.tsv"
+    stored = path.read_bytes()
+    first = cache.load_shared(family, 3)
+    assert cache.load_shared(family, 3) is first
+    # one label digit of the last line changed: the length and the header
+    # stay, and the header's sha256 no longer matches the body
+    i = stored.rindex(b"\n", 0, -1) + 1
+    changed = stored[:i] + (b"1" if stored[i:i + 1] == b"0" else b"0") + stored[i + 1:]
+    assert len(changed) == len(stored)
+    assert changed.split(b"\n")[0] == stored.split(b"\n")[0]
+    path.write_bytes(changed)
+    calls = _counted_tallies(monkeypatch)
+    assert shared_classes(family, 3, cache=cache) == report
+    err = capsys.readouterr().err
+    assert str(path) in err and err.count("\n") == 1
+    assert calls
+    # the recompute writes the stored bytes back, which the memo serves
+    assert path.read_bytes() == stored
+    assert cache.load_shared(family, 3) is first
+    assert capsys.readouterr().err == ""
+
+
+def test_class_file_reads_are_memoized_beside_their_shared_read(
+        tmp_path, capsys, family6):
+    family = GraphFamily(6, family6.members)
+    cache = CensusCache(tmp_path)
+    report = deck_classes(family, 3, cache=cache)
+    shared_path, class_path = (tmp_path / f"{kind}_n6_k3.tsv"
+                               for kind in ("shared", "classes"))
+    stored_shared, stored_classes = shared_path.read_bytes(), class_path.read_bytes()
+    first = cache.load_classes(family, 3)
+    assert first == report
+    assert cache.load_classes(family, 3) is first
+
+    def rejected(path):
+        err = capsys.readouterr().err
+        return str(path) in err and err.count("\n") == 1
+
+    # a class file changed after a hit is checked again: a line less,
+    # under the header that matches it
+    lines = stored_classes.decode().splitlines()[1:]
+    class_path.write_text(_rehashed("classes", 6, 3, 156, lines[:-1]))
+    assert cache.load_classes(family, 3) is None
+    assert rejected(class_path)
+    class_path.write_bytes(stored_classes)
+    assert cache.load_classes(family, 3) is first
+    # beside a valid shared file with a class less, the stored class file
+    # is checked again, and fails: the dropped class's members are on no
+    # line of either file
+    lines = stored_shared.decode().splitlines()[1:]
+    shared_path.write_text(_rehashed("shared", 6, 3, 156, lines[:-1]))
+    assert cache.load_classes(family, 3) is None
+    assert rejected(class_path)
+    # both files as stored: the first read is served again
+    shared_path.write_bytes(stored_shared)
+    assert cache.load_classes(family, 3) is first
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", ["graphs_n6.g6", "shared_n6_k3.tsv"])
+def test_cache_file_gone_before_its_read_is_recomputed(
+        monkeypatch, tmp_path, capsys, name):
+    argv = ["verify", "-n", "6", "-k", "3", "--invariant", "isomorphism",
+            "--cache-dir", str(tmp_path)]
+    out = io.StringIO()
+    assert dispatch(argv, out=out) == 0
+    cold = out.getvalue()
+    path = tmp_path / name
+    stored = path.read_bytes()
+    # the file is there when it is listed, and gone when it is read, once
+    gone = [path]
+    real = Path.read_bytes
+
+    def vanishing(self):
+        if self in gone:
+            gone.remove(self)
+            raise FileNotFoundError(2, "No such file or directory", str(self))
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", vanishing)
+    calls = _counted_tallies(monkeypatch)
+    out = io.StringIO()
+    assert dispatch(argv, out=out) == 0
+    assert gone == []
+    # a family comes back from the smaller one, a shared file from the cards
+    assert bool(calls) == name.startswith("shared")
+    assert out.getvalue() == cold
+    assert capsys.readouterr().err == ""
+    assert path.read_bytes() == stored
+
+
 def _counted_values(monkeypatch):
     """Patch the member values that ``census.INVARIANTS`` reads, and
     return the list of keys they are called on."""
@@ -1156,3 +1283,27 @@ def test_checks_of_a_shared_read_value_each_member_once(
     assert cache.load_shared(family, 3) is report
     assert _checked(report, "degree_list")[0] == expected["degree_list"]
     assert valued == []
+
+
+def test_verify_invariant_keeps_its_pairs_on_the_read(tmp_path, family6):
+    family = GraphFamily(6, family6.members)
+    cache = CensusCache(tmp_path)
+    deck_classes(family, 3, cache=cache)
+    report = cache.load_shared(family, 3)
+    # counting lists no pair: it also serves classes too large to list
+    for invariant in census.INVARIANTS:
+        count_violations(report, invariant)
+    assert report._violations == {}
+    pairs = verify_invariant(report, "degree_list")
+    assert pairs == tuple(Violation(*row) for row in
+                          _pairwise_violations(report, "degree_list"))
+    assert verify_invariant(report, "degree_list") is pairs
+    assert verify_invariant(cache.load_shared(family, 3), "degree_list") is pairs
+    # an unknown name still raises, and is not kept
+    with pytest.raises(ValueError, match="unknown invariant 'girth'"):
+        verify_invariant(report, "girth")
+    assert set(report._violations) == {"degree_list"}
+    # another read of the same file lists its pairs for itself
+    other = CensusCache(tmp_path).load_shared(GraphFamily(6, family6.members), 3)
+    assert verify_invariant(other, "degree_list") == pairs
+    assert verify_invariant(other, "degree_list") is not pairs
