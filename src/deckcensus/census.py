@@ -114,12 +114,10 @@ class GraphFamily:
     _by_phi: dict[int, dict[tuple[int, ...], list[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # (kind, card size) -> (bytes, shared read, read) of each shared or
-    # class file that ``CensusCache._read_derived`` accepted for this
-    # family: the file's bytes, the shared read a class file was checked
-    # against (None for a shared file), and what was read.  Only a file
-    # of equal bytes, read beside the same shared read, is served from it
-    _derived_reads: dict[tuple[str, int], list[tuple]] = field(
+    # card size -> (bytes, read) of the shared file that
+    # ``CensusCache._read_derived`` last accepted for this family; only a
+    # file of equal bytes is served from it
+    _shared_reads: dict[int, tuple[bytes, SharedClasses]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -150,14 +148,13 @@ class SharedClasses:
     own, so the partition has ``members - sum(len(keys) - 1 for keys in
     shared)`` classes, and no object is built for a singleton.
 
-    The object also keeps, per invariant name, the shared classes whose
-    members disagree on it (see ``_disagreeing_classes``), so an
-    invariant values each member once per object, and the pairs that
-    ``verify_invariant`` listed, so it builds them once per object.  A
-    read of a shared file is one object per family and file content
-    (``GraphFamily._derived_reads``), so repeated checks of an unchanged
-    file value nothing again, while a changed file, another family
-    object or a fresh census gives an object that starts empty.
+    The object also keeps, per invariant name, the pairs that
+    ``verify_invariant`` listed, so it values each member and builds the
+    pairs once per object.  A family serves a shared file whose bytes
+    equal the last one it accepted for that card size as the same
+    object (``GraphFamily._shared_reads``), so repeated checks of an
+    unchanged file value nothing again, while any other file, another
+    family object or a fresh census gives an object that starts empty.
     """
 
     order: int
@@ -165,10 +162,6 @@ class SharedClasses:
     members: int
     shared: tuple[tuple[str, ...], ...]
     labels: tuple[str, ...]
-    # invariant name -> what ``_disagreeing_classes`` returns for it
-    _disagreeing: dict[str, tuple] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     # invariant name -> what ``verify_invariant`` returns for it; only it
     # fills this, since ``count_violations`` serves classes too large to list
     _violations: dict[str, tuple[Violation, ...]] = field(
@@ -384,13 +377,12 @@ def _fresh_classes(
 
 # The invariants ``verify`` checks, one row each: name -> (its value on a
 # member, read from the member's canonical key; the witness text for two
-# differing values).  A row is looked up once per shared read and
-# invariant: ``_disagreeing_classes`` keeps its result on the read.  Rows
-# look ``_degree_counts_of_key`` and ``_key_is_connected`` up on this
-# module at call time, so they call whatever is bound there; both keep
-# their value per key, so a fresh read of a file in the same process
-# decodes and counts no member again.  Degree counts are equal exactly
-# when degree lists are, and the witness prints lists.
+# differing values).  Rows look ``_degree_counts_of_key`` and
+# ``_key_is_connected`` up on this module at call time, so they call
+# whatever is bound there; both keep their value per key, so a fresh read
+# of a file in the same process decodes and counts no member again.
+# Degree counts are equal exactly when degree lists are, and the witness
+# prints lists.
 INVARIANTS = {
     "degree_list": (
         lambda key: _degree_counts_of_key(key),
@@ -408,22 +400,17 @@ INVARIANTS = {
 
 def _disagreeing_classes(report: SharedClasses, invariant: str):
     """``invariant``'s witness, and the (members, values) of each shared
-    class whose members do not all take one value of it.  Kept on
-    ``report`` per invariant, so every member of a shared class is
-    valued once per report."""
+    class whose members do not all take one value of it."""
     if invariant not in INVARIANTS:
         choices = tuple(INVARIANTS)
         raise ValueError(f"unknown invariant {invariant!r}; choose from {choices}")
-    found = report._disagreeing.get(invariant)
-    if found is None:
-        value, witness = INVARIANTS[invariant]
-        classes = []
-        for members in report.shared:
-            values = tuple(map(value, members))
-            if values.count(values[0]) < len(values):
-                classes.append((members, values))
-        found = report._disagreeing[invariant] = witness, tuple(classes)
-    return found
+    value, witness = INVARIANTS[invariant]
+    classes = []
+    for members in report.shared:
+        values = tuple(map(value, members))
+        if values.count(values[0]) < len(values):
+            classes.append((members, values))
+    return witness, classes
 
 
 def verify_invariant(report: SharedClasses, invariant: str) -> tuple[Violation, ...]:
@@ -643,9 +630,11 @@ class CensusCache:
     reads its file, but each order is decoded at most once per process:
     all loads that match the pin return the same ``GraphFamily``, and so
     share its phi index, and a load whose bytes equal the decoded ones
-    returns it without hashing them.  Likewise a family hashes, parses
-    and validates a given shared or class file once (see
-    ``_read_derived``); a one-shot command reads each file once anyway.
+    returns it without hashing them.  Likewise a family serves a shared
+    file whose bytes equal the last one it accepted for that card size
+    without checking it again (see ``_read_derived``); a class file gets
+    every check on every load.  A one-shot command reads each file once
+    anyway.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -677,22 +666,21 @@ class CensusCache:
         when its header or final newline is not what ``_write_derived``
         writes or ``_parse_derived`` returns None.
 
-        The file is read on every call, but one whose bytes equal those
-        of a file that ``family._derived_reads`` holds, read beside the
-        same ``shared`` object, is served from it without being hashed,
-        parsed or validated again: those bytes passed every check for
-        this family and that shared read.  A rejected file is never kept,
-        and a class file read beside another shared read is checked
-        again, since its validity depends on the shared file."""
+        The file is read on every call.  A shared file whose bytes equal
+        those that ``family._shared_reads`` holds for ``k`` is served
+        from it without being hashed, parsed or validated again: those
+        bytes passed every check for this family.  An accepted shared
+        file replaces what is held for ``k``, and a rejected one is never
+        kept.  A class file gets every check on every load, since its
+        validity depends on the shared file."""
         kind = "shared" if shared is None else "classes"
         path = self._derived_path(kind, family.order, k)
         data = _read_or_none(path)
         if data is None:
             return None
-        memo = family._derived_reads.setdefault((kind, k), [])
-        for held, against, read in memo:
-            if held == data and against is shared:
-                return read
+        held = family._shared_reads.get(k) if shared is None else None
+        if held is not None and held[0] == data:
+            return held[1]
         header, _, body = data.partition(b"\n")
         expected = _class_header(family.order, k, len(family), body, kind).encode()
         lines = body.decode(errors="replace").split("\n")
@@ -702,8 +690,8 @@ class CensusCache:
         if parsed is None:
             print(f"{path}: not this census's {kind} file; recomputing it",
                   file=sys.stderr)
-        else:
-            memo.append((data, shared, parsed))
+        elif shared is None:
+            family._shared_reads[k] = data, parsed
         return parsed
 
     def _write_derived(self, kind: str, report: SharedClasses, lines) -> None:

@@ -415,7 +415,7 @@ def test_violation_scan_equals_the_pairwise_definition(family5, family6, family7
             report = shared_classes(family, k)
             for invariant in census.INVARIANTS:
                 pairs = _pairwise_violations(report, invariant)
-                # the second check reads what the first kept on the report
+                # the second listing reads what the first kept on the report
                 for _ in range(2):
                     assert _checked(report, invariant) == (pairs, len(pairs)), (
                         n, k, invariant)
@@ -761,14 +761,7 @@ def test_full_card_census_reads_each_card_off_its_key(
         report = deck_classes(family, n)
         assert report.shared == report.labels == ()
         assert report.singletons == tuple(f"{label}\t{key}" for label, (key,) in labeled)
-    calls = []
-    real = decks._key_for_rows
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(decks, "_key_for_rows", counted)
+    calls = _counted(monkeypatch, "_key_for_rows", decks)
     report = deck_classes(family8, 8)
     assert calls == []
     assert len(report.singletons) == len(family8) and report.shared == ()
@@ -903,19 +896,26 @@ def test_shared_file_lists_the_shared_classes(tmp_path, family5, family6):
                                          for key in keys]) == list(family.members)
 
 
-def _counted_tallies(monkeypatch):
-    """Patch ``_deck_tally`` wherever it is bound, and return the list of
-    its calls."""
-    calls = []
-    real = decks._deck_tally
+def _counted(monkeypatch, name, *modules, calls=None):
+    """Patch ``name`` on each of ``modules`` with one wrapper of the first
+    module's binding, and return the list (``calls``, if given) of the
+    argument tuples it is called with."""
+    calls = [] if calls is None else calls
+    real = getattr(modules[0], name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    for module in (census, decks):
-        monkeypatch.setattr(module, "_deck_tally", counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _counted_tallies(monkeypatch):
+    """Patch ``_deck_tally`` wherever it is bound, and return the list of
+    its calls."""
+    return _counted(monkeypatch, "_deck_tally", decks, census)
 
 
 def test_warm_n8_class_tsv_is_the_pinned_cold_tsv(
@@ -1081,33 +1081,27 @@ def test_shared_reads_are_memoized_only_for_unchanged_files(tmp_path, capsys, fa
         assert cache.load_shared(family, 3) is None
         err = capsys.readouterr().err
         assert str(path) in err and err.count("\n") == 1
-    # a valid file with a class less is read as it is
+    # the rejected files left the held read in place
+    path.write_bytes(stored)
+    assert cache.load_shared(family, 3) is first
+    # a valid file with a class less is read as it is, and is held instead
     path.write_text(_rehashed("shared", 6, 3, 156, lines[:-1]))
     fewer = cache.load_shared(family, 3)
     assert fewer.shared == report.shared[:-1]
-    # the stored file is served again, and another family object with the
-    # same members parses it for itself
+    assert cache.load_shared(family, 3) is fewer
+    # the restored file is a new read with the same answers, and another
+    # family object with the same members parses it for itself
     path.write_bytes(stored)
-    assert cache.load_shared(family, 3) is first
+    restored = cache.load_shared(family, 3)
+    assert restored == first and restored is not first
+    for invariant in census.INVARIANTS:
+        assert verify_invariant(restored, invariant) == verify_invariant(first, invariant)
+    assert cache.load_shared(family, 3) is restored
     other = GraphFamily(6, family6.members)
     again = cache.load_shared(other, 3)
     assert again == first and again is not first
     assert cache.load_shared(other, 3) is again
     assert capsys.readouterr().err == ""
-
-
-def _counted(monkeypatch, module, name):
-    """Patch ``module.name`` with a wrapper, and return the list of the
-    argument tuples it is called with."""
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_warm_loads_of_unchanged_files_hash_nothing(monkeypatch, tmp_path, family6):
@@ -1118,13 +1112,18 @@ def test_warm_loads_of_unchanged_files_hash_nothing(monkeypatch, tmp_path, famil
     shared = cache.load_shared(family, 3)
     classes = cache.load_classes(family, 3)
     assert classes == report
-    hashed = _counted(monkeypatch, hashlib, "sha256")
-    parsed = _counted(monkeypatch, census, "_parse_derived")
+    hashed = _counted(monkeypatch, "sha256", hashlib)
+    parsed = _counted(monkeypatch, "_parse_derived", census)
     # each file is read again, and its bytes are the ones already accepted
     assert cache.load_family(6) is family
     assert cache.load_shared(family, 3) is shared
-    assert cache.load_classes(family, 3) is classes
     assert hashed == parsed == []
+    # a class file gets every check, beside the held shared read
+    warm = cache.load_classes(family, 3)
+    assert warm == classes and warm is not classes
+    body = (tmp_path / "classes_n6_k3.tsv").read_bytes().partition(b"\n")[2]
+    assert hashed == [(body,)]
+    assert len(parsed) == 1 and parsed[0][3] is shared
 
 
 def test_changed_shared_body_misses_the_memo(monkeypatch, tmp_path, capsys, family6):
@@ -1153,8 +1152,7 @@ def test_changed_shared_body_misses_the_memo(monkeypatch, tmp_path, capsys, fami
     assert capsys.readouterr().err == ""
 
 
-def test_class_file_reads_are_memoized_beside_their_shared_read(
-        tmp_path, capsys, family6):
+def test_class_file_is_checked_on_every_load(tmp_path, capsys, family6):
     family = GraphFamily(6, family6.members)
     cache = CensusCache(tmp_path)
     report = deck_classes(family, 3, cache=cache)
@@ -1163,30 +1161,52 @@ def test_class_file_reads_are_memoized_beside_their_shared_read(
     stored_shared, stored_classes = shared_path.read_bytes(), class_path.read_bytes()
     first = cache.load_classes(family, 3)
     assert first == report
-    assert cache.load_classes(family, 3) is first
+    assert cache.load_classes(family, 3) == first
 
     def rejected(path):
         err = capsys.readouterr().err
         return str(path) in err and err.count("\n") == 1
 
-    # a class file changed after a hit is checked again: a line less,
-    # under the header that matches it
+    # a class file changed after a load is rejected: a line less, under
+    # the header that matches it
     lines = stored_classes.decode().splitlines()[1:]
     class_path.write_text(_rehashed("classes", 6, 3, 156, lines[:-1]))
     assert cache.load_classes(family, 3) is None
     assert rejected(class_path)
     class_path.write_bytes(stored_classes)
-    assert cache.load_classes(family, 3) is first
+    assert cache.load_classes(family, 3) == first
     # beside a valid shared file with a class less, the stored class file
-    # is checked again, and fails: the dropped class's members are on no
-    # line of either file
+    # fails: the dropped class's members are on no line of either file
     lines = stored_shared.decode().splitlines()[1:]
     shared_path.write_text(_rehashed("shared", 6, 3, 156, lines[:-1]))
     assert cache.load_classes(family, 3) is None
     assert rejected(class_path)
-    # both files as stored: the first read is served again
+    # both files as stored: the same partition is read again
     shared_path.write_bytes(stored_shared)
-    assert cache.load_classes(family, 3) is first
+    assert cache.load_classes(family, 3) == first
+    assert capsys.readouterr().err == ""
+
+
+def test_one_shared_read_is_held_per_family_and_card_size(tmp_path, capsys, family6):
+    family = GraphFamily(6, family6.members)
+    cache = CensusCache(tmp_path)
+    for k in (3, 4):
+        deck_classes(family, k, cache=cache)
+    four = cache.load_shared(family, 4)
+    path = tmp_path / "shared_n6_k3.tsv"
+    stored = path.read_bytes()
+    fewer = _rehashed("shared", 6, 3, 156, stored.decode().splitlines()[2:])
+    # the stored file A, a valid file B with a class less, then A again
+    first = cache.load_shared(family, 3)
+    path.write_text(fewer)
+    assert len(cache.load_shared(family, 3).shared) == len(first.shared) - 1
+    path.write_bytes(stored)
+    third = cache.load_shared(family, 3)
+    assert third == first and third is not first
+    # one slot per card size, holding the file last accepted for it
+    assert sorted(family._shared_reads) == [3, 4]
+    assert family._shared_reads[3] == (stored, third)
+    assert cache.load_shared(family, 4) is four
     assert capsys.readouterr().err == ""
 
 
@@ -1224,16 +1244,10 @@ def test_cache_file_gone_before_its_read_is_recomputed(
 
 def _counted_values(monkeypatch):
     """Patch the member values that ``census.INVARIANTS`` reads, and
-    return the list of keys they are called on."""
+    return the one list of their calls, each a (key,) tuple."""
     valued = []
     for name in ("_degree_counts_of_key", "_key_is_connected"):
-        real = getattr(census, name)
-
-        def counted(key, real=real):
-            valued.append(key)
-            return real(key)
-
-        monkeypatch.setattr(census, name, counted)
+        _counted(monkeypatch, name, census, calls=valued)
     return valued
 
 
@@ -1243,26 +1257,36 @@ def test_checks_of_a_shared_read_value_each_member_once(
     cache = CensusCache(tmp_path)
     deck_classes(family, 3, cache=cache)
     report = cache.load_shared(family, 3)
-    shared_keys = sorted(key for members in report.shared for key in members)
+    shared_keys = sorted((key,) for members in report.shared for key in members)
     expected = {invariant: _pairwise_violations(report, invariant)
                 for invariant in ("degree_list", "connectedness")}
     valued = _counted_values(monkeypatch)
-    # an invariant's first check values every shared member once,
-    # whichever function makes it ...
-    for invariant, check in zip(expected, (verify_invariant, count_violations)):
-        check(report, invariant)
+
+    def rows(read, invariant):
+        return [(v.key_a, v.key_b, v.witness) for v in verify_invariant(read, invariant)]
+
+    # counting values every shared member on each call, and keeps nothing
+    for invariant, pairs in expected.items():
+        for _ in range(2):
+            assert count_violations(report, invariant) == len(pairs)
+            assert sorted(valued) == shared_keys, invariant
+            valued.clear()
+    assert report._violations == {}
+    # an invariant's first listing values every shared member once ...
+    for invariant, pairs in expected.items():
+        assert rows(report, invariant) == pairs
         assert sorted(valued) == shared_keys, invariant
         valued.clear()
     # ... and every later one, through the memoized read too, values none
     for invariant, pairs in expected.items():
         for read in (report, cache.load_shared(family, 3)):
-            assert _checked(read, invariant) == (pairs, len(pairs))
+            assert rows(read, invariant) == pairs
     assert valued == []
     # an unknown name still raises, and is not kept
     for check in (verify_invariant, count_violations):
         with pytest.raises(ValueError, match="unknown invariant 'girth'"):
             check(report, "girth")
-    assert set(report._disagreeing) == set(expected)
+    assert set(report._violations) == set(expected)
     # a valid file without the class of the first degree-list violation
     # is a read of its own, with its own answer
     path = tmp_path / "shared_n6_k3.tsv"
@@ -1277,12 +1301,14 @@ def test_checks_of_a_shared_read_value_each_member_once(
         pairs = _pairwise_violations(fewer, invariant)
         assert _checked(fewer, invariant) == (pairs, len(pairs))
     assert _checked(fewer, "degree_list")[0] != expected["degree_list"]
-    # the stored file is the first read again, with what it kept
+    # the restored file is a new read with the same answers: its first
+    # listing values every shared member once again
     path.write_bytes(stored)
     valued.clear()
-    assert cache.load_shared(family, 3) is report
-    assert _checked(report, "degree_list")[0] == expected["degree_list"]
-    assert valued == []
+    restored = cache.load_shared(family, 3)
+    assert restored == report and restored is not report
+    assert rows(restored, "degree_list") == expected["degree_list"]
+    assert sorted(valued) == shared_keys
 
 
 def test_verify_invariant_keeps_its_pairs_on_the_read(tmp_path, family6):
